@@ -70,7 +70,10 @@ class ClassKey:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClassKey":
-        return cls(int(data["n"]), int(data["inv"]), bool(data["oneBeforeN"]))
+        n, inv, one_before_n = data["n"], data["inv"], data["oneBeforeN"]
+        if type(n) is not int or type(inv) is not int or type(one_before_n) is not bool:
+            raise ValueError(f"class key needs integer n and inv and boolean oneBeforeN, got {data!r}")
+        return cls(n, inv, one_before_n)
 
 
 def parse_class_key(text: str) -> ClassKey:
@@ -126,13 +129,19 @@ def class_closure(p: Sequence[int]) -> set[Perm]:
     return seen
 
 
+def _key_pair(p: Perm) -> tuple[int, bool]:
+    """(inv, one_before_n) of a permutation of size >= 2, unvalidated: the
+    class key without its size, for loops that compare keys at one n."""
+    return inversion_number(p), p.index(1) < p.index(len(p))
+
+
 def class_key(p: Sequence[int]) -> ClassKey:
     """The invariant triple of p's class."""
     p = tuple(p)
     n = len(p)
     if n < 2:
         raise ValueError("class keys need permutations of size >= 2")
-    return ClassKey(n, inversion_number(p), p.index(1) < p.index(n))
+    return ClassKey(n, *_key_pair(p))
 
 
 def equivalent(p: Sequence[int], q: Sequence[int]) -> bool:
@@ -314,6 +323,10 @@ def insert(w: Sequence[int], i: int) -> Perm:
     is inv(w) + n - 1 - i; the family flips exactly for i = 0 out of sigma
     and i = n - 1 out of tau.
 
+    Canonicity of w is checked by closed form, w == canonical_of(w): the
+    lexicographically minimal word of a class is its unique pattern avoider.
+    The whole insertion is O(n log n) comparisons.
+
     >>> insert((1, 3, 6, 5, 4, 2), 0)
     (2, 4, 7, 6, 5, 3, 1)
     >>> insert((1, 3, 6, 5, 4, 2), 3)
@@ -321,7 +334,9 @@ def insert(w: Sequence[int], i: int) -> Perm:
     """
     w = check_permutation(w)
     n = len(w) + 1
-    if not is_canonical(w):
+    if not w:
+        raise ValueError("cannot insert into the empty word")
+    if len(w) > 1 and w != canonical_of(w):
         raise ValueError(f"{w!r} is not a canonical word")
     if not 0 <= i <= n - 1:
         raise ValueError(f"inserted letter {i} outside 0..{n - 1}")

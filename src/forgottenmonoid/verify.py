@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from . import forgotten, qsym, words
-from .forgotten import ClassKey, class_closure, class_key
+from .forgotten import ClassKey, _key_pair, class_closure, class_key
 from .perms import (
     Perm,
     all_permutations,
@@ -88,10 +88,10 @@ def check_move_soundness(max_n: int | None = None, force: bool = False) -> Check
     moves = 0
     for n in range(2, hi + 1):
         for p in all_permutations(n):
-            key = class_key(p)
+            key = _key_pair(p)
             for q in forgotten.elementary_moves(p):
                 moves += 1
-                if class_key(q) != key:
+                if _key_pair(q) != key:
                     return _fail(name, f"a rewrite changed the class key at n={n}", (p, q))
     return CheckResult(name, True, f"{moves} rewrites preserve the key (n <= {hi})")
 
@@ -175,7 +175,7 @@ def check_partition_totals(max_n: int | None = None, force: bool = False) -> Che
         if total != math.factorial(n):
             return _fail(name, f"closure classes cover {total} of {math.factorial(n)} at n={n}", n)
     for n in range(2, hi + 1):
-        keys = {class_key(p) for p in all_permutations(n)}
+        keys = {_key_pair(p) for p in all_permutations(n)}
         if len(keys) != forgotten.classes_count(n):
             return _fail(name, f"{len(keys)} distinct keys at n={n}", n)
     return CheckResult(name, True, f"classes partition S_n (n <= {min(hi, 7)}); key counts match for n <= {hi}")
@@ -211,7 +211,7 @@ def check_schuetzenberger_key(max_n: int | None = None, force: bool = False) -> 
     hi = _bound(9, max_n, force)
     for n in range(2, hi + 1):
         for p in all_permutations(n):
-            if class_key(schuetzenberger(p)) != class_key(p):
+            if _key_pair(schuetzenberger(p)) != _key_pair(p):
                 return _fail(name, f"involution changed the key at n={n}", p)
     return CheckResult(name, True, f"the involution preserves every class key (n <= {hi})")
 
@@ -705,9 +705,7 @@ def check_ns_image(max_n: int | None = None, force: bool = False) -> CheckResult
             sources.setdefault(
                 (major_index(inverse(p)), p.index(n - 1) < p.index(n)), set()
             ).add(p)
-            targets.setdefault(
-                (inversion_number(p), p.index(1) < p.index(n)), set()
-            ).add(p)
+            targets.setdefault(_key_pair(p), set()).add(p)
         for bucket, members in sources.items():
             image = {qsym.ns_map(p) for p in members}
             if image != targets.get(bucket, set()):

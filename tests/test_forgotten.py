@@ -3,10 +3,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from forgottenmonoid.forgotten import (
     CanonicalForm,
     ClassKey,
+    _key_pair,
     all_class_keys,
     canonical_of,
     canonical_of_key,
@@ -106,6 +108,28 @@ class TestClassKey:
             parse_class_key("8,10")
         with pytest.raises(ParseError):
             parse_class_key("8,10,yes")
+
+    def test_json_decoding_is_type_strict(self):
+        for key in (ClassKey(5, 4, True), ClassKey(5, 4, False), ClassKey(2, 1, False)):
+            assert ClassKey.from_json_dict(key.to_json_dict()) == key
+        bad = [
+            {"n": 5, "inv": 4, "oneBeforeN": "false"},
+            {"n": 5, "inv": 4, "oneBeforeN": 0},
+            {"n": 5, "inv": 4, "oneBeforeN": None},
+            {"n": "5", "inv": 4, "oneBeforeN": True},
+            {"n": 5.0, "inv": 4, "oneBeforeN": True},
+            {"n": 5, "inv": True, "oneBeforeN": True},
+            {"n": True, "inv": 0, "oneBeforeN": True},
+            {"n": 5, "inv": "4", "oneBeforeN": True},
+        ]
+        for data in bad:
+            with pytest.raises(ValueError):
+                ClassKey.from_json_dict(data)
+
+    @given(st.integers(2, 60).flatmap(lambda n: st.permutations(list(range(1, n + 1)))).map(tuple))
+    def test_key_pair_matches_class_key(self, p):
+        key = class_key(p)
+        assert _key_pair(p) == (key.inv, key.one_before_n)
 
 
 class TestEquivalence:
@@ -245,6 +269,20 @@ class TestInsertion:
     def test_size_one_base(self):
         assert insert((1,), 0) == (2, 1)
         assert insert((1,), 1) == (1, 2)
+
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="empty word"):
+            insert((), 0)
+
+    def test_rejects_exactly_the_non_canonical(self):
+        # the closed-form canonicity test against the pattern-avoidance oracle
+        for n in range(1, 8):
+            for w in all_permutations(n):
+                if is_canonical(w):
+                    insert(w, 0)
+                else:
+                    with pytest.raises(ValueError, match="not a canonical word"):
+                        insert(w, 0)
 
 
 class TestShapeMembers:

@@ -34,10 +34,32 @@ permutations = st.integers(1, 8).flatmap(
 
 small_words = st.lists(st.integers(1, 4), min_size=1, max_size=8).map(tuple)
 
+long_words = st.lists(st.integers(1, 12), max_size=60).map(tuple)
+
+# Permutations of size up to 9 and words with many ties, for the pattern scan.
+scan_words = st.one_of(
+    st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))).map(tuple),
+    st.lists(st.integers(1, 3), max_size=9).map(tuple),
+)
+
+patterns = st.integers(1, 5).flatmap(
+    lambda k: st.permutations(list(range(1, k + 1)))
+).map(tuple)
+
 
 def brute_inversions(word):
     return sum(
         1 for i, j in itertools.combinations(range(len(word)), 2) if word[i] > word[j]
+    )
+
+
+def scan_avoids(word, pattern):
+    """Reference pattern scan: standardize every window and compare."""
+    if len(pattern) > len(word):
+        return True
+    return all(
+        standardize(window) != tuple(pattern)
+        for window in itertools.combinations(word, len(pattern))
     )
 
 
@@ -49,6 +71,11 @@ class TestStatistics:
 
     @given(small_words)
     def test_inversions_match_brute_force(self, w):
+        assert inversion_number(w) == brute_inversions(w)
+
+    @given(long_words)
+    def test_inversions_match_brute_force_on_long_words(self, w):
+        # repeated letters never count as inversions
         assert inversion_number(w) == brute_inversions(w)
 
     def test_descent_sets(self):
@@ -158,6 +185,11 @@ class TestShapes:
         assert is_v_shaped(tuple(range(1, 7)))
         assert not is_v_shaped((2, 3, 1))
 
+    def test_empty_word_rejected(self):
+        for predicate in (is_lambda_shaped, is_v_shaped):
+            with pytest.raises(ValueError, match="empty word"):
+                predicate(())
+
     def test_shapes_swap_under_complement(self):
         for p in itertools.permutations(range(1, 6)):
             assert is_lambda_shaped(p) == is_v_shaped(complement(p))
@@ -183,6 +215,22 @@ class TestPatterns:
 
     def test_longer_pattern_always_avoided(self):
         assert avoids_pattern((2, 1), (2, 1, 3))
+
+    def test_non_permutation_pattern_rejected(self):
+        for bad in ((), (1, 1), (2, 3), (0, 1), (1, 3), (2,)):
+            with pytest.raises(ValueError):
+                avoids_pattern((1, 2, 3), bad)
+
+    def test_matches_window_scan_on_all_small_words(self):
+        small_patterns = [p for k in range(1, 5) for p in itertools.permutations(range(1, k + 1))]
+        for length in range(6):
+            for w in itertools.product(range(1, 4), repeat=length):
+                for pattern in small_patterns:
+                    assert avoids_pattern(w, pattern) == scan_avoids(w, pattern), (w, pattern)
+
+    @given(scan_words, patterns)
+    def test_matches_window_scan(self, w, pattern):
+        assert avoids_pattern(w, pattern) == scan_avoids(w, pattern)
 
 
 class TestTextForms:
