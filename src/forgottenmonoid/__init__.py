@@ -10,11 +10,9 @@ from .forgotten import (
     canonical_of,
     canonical_of_key,
     canonical_word,
-    class_closure,
     class_key,
     classes_count,
     coforgotten_equivalent,
-    elementary_moves,
     equivalent,
     form_from_inversions,
     form_inversions,
@@ -44,13 +42,11 @@ from .perms import (
     is_lambda_shaped,
     is_v_shaped,
     major_index,
-    parse_composition,
     parse_permutation,
     recoil_composition,
     reverse,
     schuetzenberger,
     standardize,
-    subset_from_composition,
 )
 from .qsym import (
     ExpansionMismatch,

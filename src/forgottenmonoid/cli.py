@@ -54,7 +54,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
         canonical = forgotten.canonical_of_key(key)
         record = {"key": key.to_json_dict(), "canonical": list(canonical)}
         if with_sizes:
-            record["size"] = len(forgotten.class_closure(canonical))
+            record["size"] = len(words.word_closure(canonical))
         records.append((key, canonical, record))
     payload = {"n": n, "classes": [record for _, _, record in records]}
     lines = []
@@ -71,7 +71,7 @@ def _cmd_class_of(args: argparse.Namespace) -> int:
     _require(len(p) >= 2, "need a permutation of size >= 2")
     _require(len(p) <= CLOSURE_CAP or args.force, f"n={len(p)} beyond the closure cap {CLOSURE_CAP} (use --force)")
     key = forgotten.class_key(p)
-    members = sorted(forgotten.class_closure(p))
+    members = sorted(words.word_closure(p))
     canonical = forgotten.canonical_of(p)
     payload = {
         "key": key.to_json_dict(),
@@ -201,6 +201,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "passed": r.passed,
                     "detail": r.detail,
                     "counterexample": r.counterexample,
+                    "elapsed": r.elapsed,
                 }
                 for r in results
             ],

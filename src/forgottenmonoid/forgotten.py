@@ -2,17 +2,18 @@
 Forgotten equivalence on permutations.
 
 Two permutations are related when one is obtained from the other by rewriting
-three consecutive letters acb <-> bac or bca <-> cab (a < b < c).  A class is
-determined completely by the inversion number together with the relative
-order of the letters 1 and n; each class contains a unique lexicographically
-minimal word, reachable by pattern-avoidance arguments and parameterized by
-two compact families sigma(k, a) and tau(k, a).
+three consecutive letters acb <-> bac or bca <-> cab (a < b < c): the
+distinct-letter rules of ``words``, whose moves and breadth-first closures
+act on permutations unchanged.  A class is determined completely by the
+inversion number together with the relative order of the letters 1 and n;
+each class contains a unique lexicographically minimal word, reachable by
+pattern-avoidance arguments and parameterized by two compact families
+sigma(k, a) and tau(k, a).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -88,47 +89,6 @@ def parse_class_key(text: str) -> ClassKey:
     return ClassKey(n, inv, fields[2] == "1n")
 
 
-def elementary_moves(p: Sequence[int]) -> set[Perm]:
-    """
-    All rewrites of one three-letter window, in either direction.
-
-    >>> sorted(elementary_moves((1, 3, 2)))
-    [(2, 1, 3)]
-    >>> elementary_moves((1, 2, 3))
-    set()
-    """
-    p = tuple(p)
-    moves: set[Perm] = set()
-    for i in range(len(p) - 2):
-        x, y, z = p[i], p[i + 1], p[i + 2]
-        if x < z < y:  # acb -> bac
-            window = (z, x, y)
-        elif y < x < z:  # bac -> acb
-            window = (y, z, x)
-        elif z < x < y:  # bca -> cab
-            window = (y, z, x)
-        elif y < z < x:  # cab -> bca
-            window = (z, x, y)
-        else:
-            continue
-        moves.add(p[:i] + window + p[i + 3:])
-    return moves
-
-
-def class_closure(p: Sequence[int]) -> set[Perm]:
-    """The full forgotten class of p, by breadth-first search."""
-    start = tuple(p)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for q in elementary_moves(current):
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return seen
-
-
 def _key_pair(p: Perm) -> tuple[int, bool]:
     """(inv, one_before_n) of a permutation of size >= 2, unvalidated: the
     class key without its size, for loops that compare keys at one n."""
@@ -136,12 +96,11 @@ def _key_pair(p: Perm) -> tuple[int, bool]:
 
 
 def class_key(p: Sequence[int]) -> ClassKey:
-    """The invariant triple of p's class."""
-    p = tuple(p)
-    n = len(p)
-    if n < 2:
+    """The invariant triple of p's class; p must be a permutation."""
+    p = check_permutation(p)
+    if len(p) < 2:
         raise ValueError("class keys need permutations of size >= 2")
-    return ClassKey(n, *_key_pair(p))
+    return ClassKey(len(p), *_key_pair(p))
 
 
 def equivalent(p: Sequence[int], q: Sequence[int]) -> bool:

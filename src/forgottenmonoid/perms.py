@@ -108,13 +108,6 @@ def composition_from_subset(subset: set[int], n: int) -> Composition:
     return tuple(parts)
 
 
-def subset_from_composition(parts: Sequence[int]) -> set[int]:
-    """Partial sums of a composition, excluding the total."""
-    check_composition(parts)
-    sums = itertools.accumulate(parts)
-    return set(list(sums)[:-1])
-
-
 def descent_composition(word: Sequence[int]) -> Composition:
     """Lengths of the maximal weakly increasing runs of the word."""
     return composition_from_subset(descent_set(word), len(word))
@@ -283,17 +276,6 @@ def parse_permutation(text: str) -> Perm:
 
 def format_permutation(p: Sequence[int]) -> str:
     return ",".join(map(str, p))
-
-
-def parse_composition(text: str) -> Composition:
-    """Read a composition from its "(1,1,3)" text form."""
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError(f"cannot read composition from {text!r}")
-    try:
-        return check_composition([int(f) for f in text[1:-1].split(",")])
-    except ValueError as exc:
-        raise ParseError(f"cannot read composition from {text!r}") from exc
 
 
 def format_composition(parts: Sequence[int]) -> str:

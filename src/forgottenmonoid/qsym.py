@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .forgotten import ClassKey, canonical_of_key, class_closure, lambda_members, v_members
+from .forgotten import ClassKey, canonical_of_key, lambda_members, v_members
 from .perms import (
     Composition,
     all_compositions,
@@ -28,6 +28,7 @@ from .perms import (
     recoil_composition,
     reverse,
 )
+from .words import word_closure
 
 ENDINGS = ("all", "ends_in_one", "not_ends_in_one")
 
@@ -124,11 +125,6 @@ class TruncatedPolynomial:
                 for exponents in sorted(self.terms)
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TruncatedPolynomial":
-        terms = {tuple(entry["exp"]): int(entry["coeff"]) for entry in data["terms"]}
-        return cls(int(data["m"]), int(data["degree"]), terms)
 
 
 def is_symmetric(p: TruncatedPolynomial) -> bool:
@@ -334,7 +330,7 @@ def ribbon_expansion(key: ClassKey) -> RibbonSum:
 def class_qsym_sum(key: ClassKey, num_vars: int) -> TruncatedPolynomial:
     """Sum of fundamental quasi-symmetric functions over the keyed class."""
     total: Counter[tuple[int, ...]] = Counter()
-    for member in class_closure(canonical_of_key(key)):
+    for member in word_closure(canonical_of_key(key)):
         poly = fundamental_qsym(key.n, frozenset(descent_set(member)), num_vars)
         total.update(poly.terms)
     return TruncatedPolynomial(num_vars, key.n, dict(total))

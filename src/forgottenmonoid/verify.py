@@ -3,9 +3,10 @@ Exhaustive desk-scale verification suites.
 
 Every claimed property of the package is checked here by brute force over
 complete symmetric groups, word spaces, or parameter domains, each up to a
-default size bound chosen so the whole run stays interactive.  Checks return
-structured results so both the command line and the test suite can drive
-them.
+default size bound chosen so the whole run stays interactive.  Each check is
+declared with @check, which files it under its suite, clamps its bound and
+times it; checks return structured results so both the command line and the
+test suite can drive them.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import forgotten, qsym, words
-from .forgotten import ClassKey, _key_pair, class_closure, class_key
+from .forgotten import ClassKey, _key_pair, class_key
 from .perms import (
     Perm,
     all_permutations,
@@ -43,23 +44,66 @@ class CheckResult:
     passed: bool
     detail: str
     counterexample: str | None = None
+    elapsed: float = 0.0  # seconds
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        text = f"[{status}] {self.name}: {self.detail}"
+        text = f"[{status}] {self.name}: {self.detail} ({self.elapsed:.2f}s)"
         if self.counterexample:
             text += f" | counterexample: {self.counterexample}"
         return text
 
 
-def _fail(name: str, detail: str, counterexample: object) -> CheckResult:
-    return CheckResult(name, False, detail, repr(counterexample))
+class _Failure(NamedTuple):
+    detail: str
+    counterexample: str | None
 
 
-def _bound(default: int, max_n: int | None, force: bool) -> int:
-    if max_n is None:
-        return default
-    return max_n if force else min(max_n, default)
+def _fail(detail: str, counterexample: object) -> _Failure:
+    return _Failure(detail, repr(counterexample))
+
+
+# A check body returns its detail on a pass and a _Failure on a failure.
+Outcome = str | _Failure
+Check = Callable[..., CheckResult]
+
+SUITES: dict[str, list[Check]] = {}
+
+
+def check(suite: str, default_max_n: int | None = None, *, name: str | None = None):
+    """
+    Register a check body in SUITES[suite] and SUITES["all"], in the order
+    the checks are defined, as check_x(max_n=None, force=False).
+
+    A body with a default bound takes the sweep bound: default_max_n, or
+    max_n clamped to it unless force is set.  A body without one takes
+    nothing and ignores max_n.  The registered check times the body and
+    wraps its outcome in a CheckResult reported under `name`, by default the
+    function name without its "check_" prefix.
+    """
+
+    def register(body: Callable[..., Outcome]) -> Check:
+        reported = name or body.__name__.removeprefix("check_")
+
+        def run(max_n: int | None = None, force: bool = False) -> CheckResult:
+            started = time.perf_counter()
+            if default_max_n is None:
+                outcome = body()
+            elif max_n is None:
+                outcome = body(default_max_n)
+            else:
+                outcome = body(max_n if force else min(max_n, default_max_n))
+            elapsed = time.perf_counter() - started
+            if isinstance(outcome, _Failure):
+                return CheckResult(reported, False, outcome.detail, outcome.counterexample, elapsed)
+            return CheckResult(reported, True, outcome, None, elapsed)
+
+        run.__name__ = run.__qualname__ = body.__name__
+        SUITES.setdefault(suite, []).append(run)
+        SUITES.setdefault("all", []).append(run)
+        return run
+
+    return register
 
 
 @lru_cache(maxsize=8)
@@ -70,7 +114,7 @@ def closure_partition(n: int) -> tuple[dict[Perm, int], tuple[frozenset[Perm], .
     for p in all_permutations(n):
         if p in owner:
             continue
-        members = frozenset(class_closure(p))
+        members = frozenset(words.word_closure(p))
         index = len(classes)
         classes.append(members)
         for q in members:
@@ -82,23 +126,21 @@ def closure_partition(n: int) -> tuple[dict[Perm, int], tuple[frozenset[Perm], .
 # classes suite
 
 
-def check_move_soundness(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "move_soundness"
-    hi = _bound(8, max_n, force)
+@check("classes", 8)
+def check_move_soundness(hi: int) -> Outcome:
     moves = 0
     for n in range(2, hi + 1):
         for p in all_permutations(n):
             key = _key_pair(p)
-            for q in forgotten.elementary_moves(p):
+            for q in words.general_moves(p):
                 moves += 1
                 if _key_pair(q) != key:
-                    return _fail(name, f"a rewrite changed the class key at n={n}", (p, q))
-    return CheckResult(name, True, f"{moves} rewrites preserve the key (n <= {hi})")
+                    return _fail(f"a rewrite changed the class key at n={n}", (p, q))
+    return f"{moves} rewrites preserve the key (n <= {hi})"
 
 
-def check_key_matches_closure(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "key_matches_closure"
-    hi = _bound(7, max_n, force)
+@check("classes", 7)
+def check_key_matches_closure(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         _, classes = closure_partition(n)
         by_key: dict[ClassKey, set[Perm]] = {}
@@ -108,26 +150,23 @@ def check_key_matches_closure(max_n: int | None = None, force: bool = False) -> 
         if key_classes != set(classes):
             for members in classes:
                 if frozenset(members) not in key_classes:
-                    return _fail(name, f"closure class is not a key class at n={n}", sorted(members)[0])
+                    return _fail(f"closure class is not a key class at n={n}", sorted(members)[0])
             for members in key_classes:
                 if members not in set(classes):
-                    return _fail(name, f"key class is not a closure class at n={n}", sorted(members)[0])
-    return CheckResult(name, True, f"key partition equals closure partition for n <= {hi}")
+                    return _fail(f"key class is not a closure class at n={n}", sorted(members)[0])
+    return f"key partition equals closure partition for n <= {hi}"
 
 
-def check_class_count(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "class_count"
-    hi = _bound(8, max_n, force)
+@check("classes", 8)
+def check_class_count(hi: int) -> Outcome:
     counts = []
-    started = time.monotonic()
     for n in range(2, hi + 1):
         _, classes = closure_partition(n)
         expected = forgotten.classes_count(n)
         if len(classes) != expected:
-            return _fail(name, f"expected {expected} classes at n={n}, found {len(classes)}", n)
+            return _fail(f"expected {expected} classes at n={n}, found {len(classes)}", n)
         counts.append(f"{n}:{len(classes)}")
-    elapsed = time.monotonic() - started
-    return CheckResult(name, True, f"class counts {' '.join(counts)} ({elapsed:.1f}s)")
+    return f"class counts {' '.join(counts)}"
 
 
 _TABLE_N2 = [{"12"}, {"21"}]
@@ -152,84 +191,78 @@ def _digits(p: Iterable[int]) -> str:
     return "".join(map(str, p))
 
 
-def check_small_tables(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "small_tables"
+@check("classes")
+def check_small_tables() -> Outcome:
     for n, table in ((2, _TABLE_N2), (3, _TABLE_N3), (4, _TABLE_N4)):
         _, classes = closure_partition(n)
         found = {frozenset(_digits(p) for p in members) for members in classes}
         expected = {frozenset(row) for row in table}
         if found != expected:
-            return _fail(name, f"class table differs at n={n}", sorted(found ^ expected))
-    fifteen = {_digits(p) for p in class_closure((1, 2, 5, 4, 3))}
+            return _fail(f"class table differs at n={n}", sorted(found ^ expected))
+    fifteen = {_digits(p) for p in words.word_closure((1, 2, 5, 4, 3))}
     if fifteen != _CLASS_N5:
-        return _fail(name, "the fifteen-element class at n=5 differs", sorted(fifteen ^ _CLASS_N5))
-    return CheckResult(name, True, "class tables for n=2,3,4 and the 15-element class at n=5 reproduced")
+        return _fail("the fifteen-element class at n=5 differs", sorted(fifteen ^ _CLASS_N5))
+    return "class tables for n=2,3,4 and the 15-element class at n=5 reproduced"
 
 
-def check_partition_totals(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "partition_totals"
-    hi = _bound(8, max_n, force)
+@check("classes", 8)
+def check_partition_totals(hi: int) -> Outcome:
     for n in range(2, min(hi, 7) + 1):
         _, classes = closure_partition(n)
         total = sum(len(members) for members in classes)
         if total != math.factorial(n):
-            return _fail(name, f"closure classes cover {total} of {math.factorial(n)} at n={n}", n)
+            return _fail(f"closure classes cover {total} of {math.factorial(n)} at n={n}", n)
     for n in range(2, hi + 1):
         keys = {_key_pair(p) for p in all_permutations(n)}
         if len(keys) != forgotten.classes_count(n):
-            return _fail(name, f"{len(keys)} distinct keys at n={n}", n)
-    return CheckResult(name, True, f"classes partition S_n (n <= {min(hi, 7)}); key counts match for n <= {hi}")
+            return _fail(f"{len(keys)} distinct keys at n={n}", n)
+    return f"classes partition S_n (n <= {min(hi, 7)}); key counts match for n <= {hi}"
 
 
-def check_boundary_elements(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "boundary_elements"
-    hi = _bound(7, max_n, force)
+@check("classes", 7)
+def check_boundary_elements(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         _, classes = closure_partition(n)
         for members in classes:
             sample = next(iter(members))
             first, last = (1, n) if class_key(sample).one_before_n else (n, 1)
             if not any(p[0] == first for p in members):
-                return _fail(name, f"no member starting with {first} at n={n}", sample)
+                return _fail(f"no member starting with {first} at n={n}", sample)
             if not any(p[-1] == last for p in members):
-                return _fail(name, f"no member ending with {last} at n={n}", sample)
-    return CheckResult(name, True, f"every class has the expected boundary elements (n <= {hi})")
+                return _fail(f"no member ending with {last} at n={n}", sample)
+    return f"every class has the expected boundary elements (n <= {hi})"
 
 
-def check_inverse_on_lex(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "inverse_on_lex"
-    hi = _bound(8, max_n, force)
+@check("classes", 8)
+def check_inverse_on_lex(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         for w in forgotten.lex_enumerate(n):
             if class_key(w) != class_key(inverse(w)):
-                return _fail(name, f"canonical word and inverse split at n={n}", w)
-    return CheckResult(name, True, f"canonical words share their inverse's class (n <= {hi})")
+                return _fail(f"canonical word and inverse split at n={n}", w)
+    return f"canonical words share their inverse's class (n <= {hi})"
 
 
-def check_schuetzenberger_key(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "schuetzenberger_key"
-    hi = _bound(9, max_n, force)
+@check("classes", 9)
+def check_schuetzenberger_key(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         for p in all_permutations(n):
             if _key_pair(schuetzenberger(p)) != _key_pair(p):
-                return _fail(name, f"involution changed the key at n={n}", p)
-    return CheckResult(name, True, f"the involution preserves every class key (n <= {hi})")
+                return _fail(f"involution changed the key at n={n}", p)
+    return f"the involution preserves every class key (n <= {hi})"
 
 
-def check_schuetzenberger_membership(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "schuetzenberger_membership"
-    hi = _bound(6, max_n, force)
+@check("classes", 6)
+def check_schuetzenberger_membership(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         owner, _ = closure_partition(n)
         for p in all_permutations(n):
             if owner[schuetzenberger(p)] != owner[p]:
-                return _fail(name, f"involution left the closure at n={n}", p)
-    return CheckResult(name, True, f"the involution stays inside each closure (n <= {hi})")
+                return _fail(f"involution left the closure at n={n}", p)
+    return f"the involution stays inside each closure (n <= {hi})"
 
 
-def check_coforgotten(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "coforgotten"
-    hi = _bound(6, max_n, force)
+@check("classes", 6)
+def check_coforgotten(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         _, classes = closure_partition(n)
         inverted = {frozenset(inverse(p) for p in members) for members in classes}
@@ -237,23 +270,22 @@ def check_coforgotten(max_n: int | None = None, force: bool = False) -> CheckRes
         for p in all_permutations(n):
             by_key.setdefault(class_key(inverse(p)), set()).add(p)
         if {frozenset(v) for v in by_key.values()} != inverted:
-            return _fail(name, f"coforgotten partition mismatch at n={n}", n)
+            return _fail(f"coforgotten partition mismatch at n={n}", n)
         if len(inverted) != forgotten.classes_count(n):
-            return _fail(name, f"{len(inverted)} coforgotten classes at n={n}", n)
-    return CheckResult(name, True, f"coforgotten classes are inverted classes, count matches (n <= {hi})")
+            return _fail(f"{len(inverted)} coforgotten classes at n={n}", n)
+    return f"coforgotten classes are inverted classes, count matches (n <= {hi})"
 
 
-def check_reversal_closure_classes(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "reversal_closure_classes"
-    hi = _bound(7, max_n, force)
+@check("classes", 7)
+def check_reversal_closure_classes(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         _, classes = closure_partition(n)
         for members in classes:
             comps = Counter(descent_composition(p) for p in members)
             flipped = Counter(reverse(c) for c in comps.elements())
             if comps != flipped:
-                return _fail(name, f"descent multiset not reversal-closed at n={n}", sorted(members)[0])
-    return CheckResult(name, True, f"descent-composition multisets are reversal-closed (n <= {hi})")
+                return _fail(f"descent multiset not reversal-closed at n={n}", sorted(members)[0])
+    return f"descent-composition multisets are reversal-closed (n <= {hi})"
 
 
 # ---------------------------------------------------------------------------
@@ -271,56 +303,52 @@ _LEX_LISTS = {
 }
 
 
-def check_lex_lists(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "lex_lists"
+@check("canonical")
+def check_lex_lists() -> Outcome:
     for n, expected in _LEX_LISTS.items():
         got = [_digits(w) for w in forgotten.lex_enumerate(n)]
         if got != sorted(expected):
-            return _fail(name, f"canonical list differs at n={n}", got)
-    return CheckResult(name, True, "canonical lists for n <= 5 reproduced verbatim")
+            return _fail(f"canonical list differs at n={n}", got)
+    return "canonical lists for n <= 5 reproduced verbatim"
 
 
-def check_lex_count(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "lex_count"
-    hi = _bound(12, max_n, force)
+@check("canonical", 12)
+def check_lex_count(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         members = forgotten.lex_enumerate(n)
         if len(members) != forgotten.classes_count(n):
-            return _fail(name, f"{len(members)} canonical words at n={n}", n)
+            return _fail(f"{len(members)} canonical words at n={n}", n)
         if members != sorted(set(members)):
-            return _fail(name, f"canonical list unsorted or duplicated at n={n}", n)
+            return _fail(f"canonical list unsorted or duplicated at n={n}", n)
         for w in members:
             if not forgotten.is_canonical(w):
-                return _fail(name, f"enumerated word contains a forbidden pattern at n={n}", w)
-    return CheckResult(name, True, f"|Lex(n)| = n^2-3n+4 and all members avoid the patterns (n <= {hi})")
+                return _fail(f"enumerated word contains a forbidden pattern at n={n}", w)
+    return f"|Lex(n)| = n^2-3n+4 and all members avoid the patterns (n <= {hi})"
 
 
-def check_lex_bruteforce(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "lex_bruteforce"
-    hi = _bound(7, max_n, force)
+@check("canonical", 7)
+def check_lex_bruteforce(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         filtered = [p for p in all_permutations(n) if forgotten.is_canonical(p)]
         if filtered != forgotten.lex_enumerate(n):
-            return _fail(name, f"pattern filter disagrees with enumeration at n={n}", n)
-    return CheckResult(name, True, f"pattern-avoidance filter reproduces the enumeration (n <= {hi})")
+            return _fail(f"pattern filter disagrees with enumeration at n={n}", n)
+    return f"pattern-avoidance filter reproduces the enumeration (n <= {hi})"
 
 
-def check_canonical_lexmin(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "canonical_lexmin"
-    hi = _bound(7, max_n, force)
+@check("canonical", 7)
+def check_canonical_lexmin(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         _, classes = closure_partition(n)
         for members in classes:
             smallest = min(members)
             for p in members:
                 if forgotten.canonical_of(p) != smallest:
-                    return _fail(name, f"canonical_of missed the lex minimum at n={n}", p)
-    return CheckResult(name, True, f"canonical_of always returns the class lex minimum (n <= {hi})")
+                    return _fail(f"canonical_of missed the lex minimum at n={n}", p)
+    return f"canonical_of always returns the class lex minimum (n <= {hi})"
 
 
-def check_form_formulas(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "form_formulas"
-    hi = _bound(12, max_n, force)
+@check("canonical", 12)
+def check_form_formulas(hi: int) -> Outcome:
     checked = 0
     for n in range(2, hi + 1):
         for family in forgotten.FAMILIES:
@@ -328,40 +356,39 @@ def check_form_formulas(max_n: int | None = None, force: bool = False) -> CheckR
                 checked += 1
                 word = forgotten.canonical_word(form)
                 if forgotten.form_inversions(form) != inversion_number(word):
-                    return _fail(name, "closed-form inversion count wrong", form)
+                    return _fail("closed-form inversion count wrong", form)
                 if forgotten.form_from_inversions(family, forgotten.form_inversions(form), n) != form:
-                    return _fail(name, "round trip through inversion count failed", form)
+                    return _fail("round trip through inversion count failed", form)
             lo, hi_inv = forgotten.inv_bounds(n, family == "sigma")
             for inv in range(lo, hi_inv + 1):
                 form = forgotten.form_from_inversions(family, inv, n)
                 if forgotten.form_inversions(form) != inv:
-                    return _fail(name, "inverse map hit the wrong inversion count", (family, inv, n))
-    return CheckResult(name, True, f"{checked} forms round-trip exactly (n <= {hi})")
+                    return _fail("inverse map hit the wrong inversion count", (family, inv, n))
+    return f"{checked} forms round-trip exactly (n <= {hi})"
 
 
-def check_section5_examples(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "compact_form_examples"
+@check("canonical", name="compact_form_examples")
+def check_section5_examples() -> Outcome:
     sigma = forgotten.canonical_word(forgotten.form_from_inversions("sigma", 13, 7))
     tau = forgotten.canonical_word(forgotten.form_from_inversions("tau", 13, 7))
     if _digits(sigma) != "1576432":
-        return _fail(name, "sigma word with 13 inversions at n=7 wrong", sigma)
+        return _fail("sigma word with 13 inversions at n=7 wrong", sigma)
     if _digits(tau) != "2476531":
-        return _fail(name, "tau word with 13 inversions at n=7 wrong", tau)
+        return _fail("tau word with 13 inversions at n=7 wrong", tau)
     if inversion_number(sigma) != 13 or inversion_number(tau) != 13:
-        return _fail(name, "worked example words have the wrong inversion count", (sigma, tau))
-    return CheckResult(name, True, "n=7, 13-inversion words are 1576432 and 2476531")
+        return _fail("worked example words have the wrong inversion count", (sigma, tau))
+    return "n=7, 13-inversion words are 1576432 and 2476531"
 
 
-def check_lambda_chain(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "lambda_chain"
-    hi = _bound(8, max_n, force)
+@check("canonical", 8)
+def check_lambda_chain(hi: int) -> Outcome:
     chain = [(1, 3, 5, 6, 7, 8, 4, 2), (1, 3, 4, 6, 8, 7, 5, 2), (1, 2, 5, 6, 8, 7, 4, 3),
              (1, 2, 4, 7, 8, 6, 5, 3), (1, 2, 3, 8, 7, 6, 5, 4)]
     for before, after in zip(chain, chain[1:]):
         if forgotten.next_lambda_down(before) != after:
-            return _fail(name, "documented rewriting chain not followed", before)
+            return _fail("documented rewriting chain not followed", before)
     if forgotten.next_lambda_down(chain[-1]) is not None:
-        return _fail(name, "walk did not stop at the canonical word", chain[-1])
+        return _fail("walk did not stop at the canonical word", chain[-1])
     for n in range(2, hi + 1):
         for bits in range(1 << (n - 1)):
             rising = [x for x in range(1, n) if bits >> (x - 1) & 1]
@@ -373,31 +400,30 @@ def check_lambda_chain(max_n: int | None = None, force: bool = False) -> CheckRe
                 if step is None:
                     break
                 if not is_lambda_shaped(step) or class_key(step) != key or not step < current:
-                    return _fail(name, f"bad rewriting step at n={n}", (current, step))
+                    return _fail(f"bad rewriting step at n={n}", (current, step))
                 current = step
             else:
-                return _fail(name, f"walk did not terminate at n={n}", p)
+                return _fail(f"walk did not terminate at n={n}", p)
             if current != forgotten.canonical_of(p):
-                return _fail(name, f"walk ended off the canonical word at n={n}", p)
-    return CheckResult(name, True, f"lambda walks reach the canonical word (n <= {hi})")
+                return _fail(f"walk ended off the canonical word at n={n}", p)
+    return f"lambda walks reach the canonical word (n <= {hi})"
 
 
-def check_lambda_members_examples(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "lambda_members_examples"
+@check("canonical")
+def check_lambda_members_examples() -> Outcome:
     plus = {_digits(w) for w in forgotten.lambda_members(ClassKey(8, 10, True))}
     minus = {_digits(w) for w in forgotten.lambda_members(ClassKey(8, 10, False))}
     if plus != {"12387654", "12478653", "12568743", "13468752", "13567842"}:
-        return _fail(name, "lambda members of the 1-before-n class at (8, 10)", sorted(plus))
+        return _fail("lambda members of the 1-before-n class at (8, 10)", sorted(plus))
     if minus != {"23458761", "23467851"}:
-        return _fail(name, "lambda members of the n-before-1 class at (8, 10)", sorted(minus))
+        return _fail("lambda members of the n-before-1 class at (8, 10)", sorted(minus))
     if forgotten.lambda_members(ClassKey(6, 0, True)) != {tuple(range(1, 7))}:
-        return _fail(name, "inversion-free class should contain only the identity", 6)
-    return CheckResult(name, True, "documented lambda member sets reproduced")
+        return _fail("inversion-free class should contain only the identity", 6)
+    return "documented lambda member sets reproduced"
 
 
-def check_lambda_v_membership(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "lambda_v_membership"
-    hi = _bound(8, max_n, force)
+@check("canonical", 8)
+def check_lambda_v_membership(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         shaped_l: dict[ClassKey, set[Perm]] = {}
         shaped_v: dict[ClassKey, set[Perm]] = {}
@@ -408,10 +434,10 @@ def check_lambda_v_membership(max_n: int | None = None, force: bool = False) -> 
                 shaped_v.setdefault(class_key(p), set()).add(p)
         for key in forgotten.all_class_keys(n):
             if forgotten.lambda_members(key) != shaped_l.get(key, set()):
-                return _fail(name, f"lambda_members disagrees with the scan at n={n}", key)
+                return _fail(f"lambda_members disagrees with the scan at n={n}", key)
             if forgotten.v_members(key) != shaped_v.get(key, set()):
-                return _fail(name, f"v_members disagrees with the scan at n={n}", key)
-    return CheckResult(name, True, f"shape member enumerations match full scans (n <= {hi})")
+                return _fail(f"v_members disagrees with the scan at n={n}", key)
+    return f"shape member enumerations match full scans (n <= {hi})"
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +446,17 @@ def check_lambda_v_membership(max_n: int | None = None, force: bool = False) -> 
 _INSERTION_TABLE = ["2476531", "1476532", "1376542", "1276543", "1267543", "1257643", "1247653"]
 
 
-def check_insertion_table(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "insertion_table"
+@check("insertion")
+def check_insertion_table() -> Outcome:
     w = (1, 3, 6, 5, 4, 2)
     got = [_digits(forgotten.insert(w, i)) for i in range(7)]
     if got != _INSERTION_TABLE:
-        return _fail(name, "insertion table for 136542 differs", got)
-    return CheckResult(name, True, "insertion table for 136542, i=0..6 reproduced")
+        return _fail("insertion table for 136542 differs", got)
+    return "insertion table for 136542, i=0..6 reproduced"
 
 
-def check_insertion_exhaustive(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "insertion_exhaustive"
-    hi = _bound(8, max_n, force)
+@check("insertion", 8)
+def check_insertion_exhaustive(hi: int) -> Outcome:
     checked = 0
     for n in range(2, hi + 1):
         for w in forgotten.lex_enumerate(n - 1):
@@ -440,12 +465,12 @@ def check_insertion_exhaustive(max_n: int | None = None, force: bool = False) ->
                 checked += 1
                 result = forgotten.insert(w, i)
                 if not forgotten.is_canonical(result):
-                    return _fail(name, f"insertion left the canonical set at n={n}", (w, i))
+                    return _fail(f"insertion left the canonical set at n={n}", (w, i))
                 if inversion_number(result) != base + n - 1 - i:
-                    return _fail(name, f"wrong inversion count at n={n}", (w, i))
+                    return _fail(f"wrong inversion count at n={n}", (w, i))
                 if class_key(result) != class_key(standardize(w + (i,))):
-                    return _fail(name, f"insertion disagrees with standardization at n={n}", (w, i))
-    return CheckResult(name, True, f"{checked} insertions match standardization (n <= {hi})")
+                    return _fail(f"insertion disagrees with standardization at n={n}", (w, i))
+    return f"{checked} insertions match standardization (n <= {hi})"
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +482,8 @@ def _words_upto(max_len: int, alphabet: int):
         yield from itertools.product(range(1, alphabet + 1), repeat=length)
 
 
-def check_word_move_soundness(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "word_move_soundness"
-    max_len = _bound(6, max_n, force)
+@check("commutation", 6)
+def check_word_move_soundness(max_len: int) -> Outcome:
     moves = 0
     for w in _words_upto(max_len, 4):
         letters = Counter(w)
@@ -471,33 +495,42 @@ def check_word_move_soundness(max_n: int | None = None, force: bool = False) -> 
             moves += 1
             u = w[:i] + window + w[i + 3:]
             if Counter(u) != letters:
-                return _fail(name, "a rewrite changed the letter multiset", (w, u))
+                return _fail("a rewrite changed the letter multiset", (w, u))
             # the two equal-letter rules shift the window's inversion count
             # by exactly one; the distinct-letter rules preserve it
             expected_shift = 0 if len({w[i], w[i + 1], w[i + 2]}) == 3 else 1
             if abs(inversion_number(u) - inv) != expected_shift:
-                return _fail(name, "a rewrite moved the inversion count unexpectedly", (w, u))
-    return CheckResult(
-        name, True,
+                return _fail("a rewrite moved the inversion count unexpectedly", (w, u))
+    return (
         f"{moves} word rewrites preserve the multiset, with inversions fixed on distinct-letter"
-        f" windows and shifted by one on repeated-letter windows (len <= {max_len}, q <= 4)",
+        f" windows and shifted by one on repeated-letter windows (len <= {max_len}, q <= 4)"
     )
 
 
-def check_restriction_consistency(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "restriction_consistency"
+# The paper's rewrites on permutations, 132 <-> 213 and 231 <-> 312, as a
+# literal table on standardized windows: an oracle for the rule table in words.
+_PERMUTATION_REWRITES = {(1, 3, 2): (2, 1, 3), (2, 1, 3): (1, 3, 2), (2, 3, 1): (3, 1, 2), (3, 1, 2): (2, 3, 1)}
+
+
+@check("commutation")
+def check_restriction_consistency() -> Outcome:
     for length in range(3, 5):
         for letters in itertools.permutations(range(1, 5), length):
+            p = standardize(letters)
+            expected = set()
+            for i in range(length - 2):
+                image = _PERMUTATION_REWRITES.get(standardize(p[i:i + 3]))
+                if image is not None:
+                    low = sorted(p[i:i + 3])
+                    expected.add(p[:i] + tuple(low[r - 1] for r in image) + p[i + 3:])
             got = {standardize(u) for u in words.general_moves(letters)}
-            expected = forgotten.elementary_moves(standardize(letters))
             if got != expected:
-                return _fail(name, "distinct-letter words deviate from permutation rewrites", letters)
-    return CheckResult(name, True, "word rewrites restrict to permutation rewrites on distinct letters")
+                return _fail("distinct-letter words deviate from permutation rewrites", letters)
+    return "word rewrites restrict to permutation rewrites on distinct letters"
 
 
-def check_normal_form_invariance(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "normal_form_invariance"
-    max_len = _bound(6, max_n, force)
+@check("commutation", 6)
+def check_normal_form_invariance(max_len: int) -> Outcome:
     classes = 0
     seen: set[tuple[int, ...]] = set()
     for w in _words_upto(max_len, 4):
@@ -508,28 +541,25 @@ def check_normal_form_invariance(max_n: int | None = None, force: bool = False) 
         classes += 1
         normal = min(closure)
         if normal not in closure:
-            return _fail(name, "normal form escaped its class", w)
+            return _fail("normal form escaped its class", w)
         for u in closure:
             if words.word_normal_form(u) != normal:
-                return _fail(name, "normal form differs inside one class", (w, u))
-    return CheckResult(name, True, f"{classes} word classes share one normal form each (len <= {max_len}, q <= 4)")
+                return _fail("normal form differs inside one class", (w, u))
+    return f"{classes} word classes share one normal form each (len <= {max_len}, q <= 4)"
 
 
-def check_commutation(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "elementary_commutation"
-    started = time.monotonic()
+@check("commutation", name="elementary_commutation")
+def check_commutation() -> Outcome:
     for alphabet in (2, 3, 4):
         for i in range(1, 4):
             for j in range(1, 4):
                 if not words.commute_check(i, j, alphabet):
-                    return _fail(name, f"e_{i} and e_{j} fail to commute over q={alphabet}", (i, j, alphabet))
-    elapsed = time.monotonic() - started
-    return CheckResult(name, True, f"e_i e_j = e_j e_i in the quotient for i,j <= 3, q <= 4 ({elapsed:.1f}s)")
+                    return _fail(f"e_{i} and e_{j} fail to commute over q={alphabet}", (i, j, alphabet))
+    return "e_i e_j = e_j e_i in the quotient for i,j <= 3, q <= 4"
 
 
-def check_reversal_closure_words(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "reversal_closure_words"
-    max_len = _bound(6, max_n, force)
+@check("commutation", 6)
+def check_reversal_closure_words(max_len: int) -> Outcome:
     seen: set[tuple[int, ...]] = set()
     classes = 0
     for w in _words_upto(max_len, 4):
@@ -541,16 +571,16 @@ def check_reversal_closure_words(max_n: int | None = None, force: bool = False) 
         comps = Counter(descent_composition(u) for u in closure)
         flipped = Counter(reverse(c) for c in comps.elements())
         if comps != flipped:
-            return _fail(name, "descent multiset of a word class not reversal-closed", w)
-    return CheckResult(name, True, f"{classes} word classes have reversal-closed descent multisets (len <= {max_len}, q <= 4)")
+            return _fail("descent multiset of a word class not reversal-closed", w)
+    return f"{classes} word classes have reversal-closed descent multisets (len <= {max_len}, q <= 4)"
 
 
 # ---------------------------------------------------------------------------
 # ribbon suite
 
 
-def check_sign_pairing(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "sign_pairing"
+@check("ribbon")
+def check_sign_pairing() -> Outcome:
     adopted_ok = True
     literal_ok = True
     witness = None
@@ -567,19 +597,17 @@ def check_sign_pairing(max_n: int | None = None, force: bool = False) -> CheckRe
             if by_lambda != literal:
                 literal_ok = False
     if not adopted_ok:
-        return _fail(name, "adopted sign pairing contradicted on n=4,5", witness)
+        return _fail("adopted sign pairing contradicted on n=4,5", witness)
     detail = "1-before-n classes pair with compositions NOT ending in 1 (checked on all keys of n=4,5)"
     if literal_ok:
         detail += "; the opposite pairing also fits, which should not happen"
-        return CheckResult(name, False, detail, None)
+        return _Failure(detail, None)
     detail += "; the opposite pairing is refuted"
-    return CheckResult(name, True, detail)
+    return detail
 
 
-def check_ribbon_theorem(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "ribbon_theorem"
-    hi = _bound(7, max_n, force)
-    started = time.monotonic()
+@check("ribbon", 7)
+def check_ribbon_theorem(hi: int) -> Outcome:
     keys = 0
     for n in range(2, hi + 1):
         for key in forgotten.all_class_keys(n):
@@ -587,44 +615,38 @@ def check_ribbon_theorem(max_n: int | None = None, force: bool = False) -> Check
             expansion = qsym.ribbon_expansion(key)  # raises on method disagreement
             class_sum = qsym.class_qsym_sum(key, n)
             if class_sum != expansion.evaluate(n):
-                return _fail(name, f"class sum differs from its ribbon sum at n={n}", key)
+                return _fail(f"class sum differs from its ribbon sum at n={n}", key)
             if not qsym.is_symmetric(class_sum):
-                return _fail(name, f"class sum is not symmetric at n={n}", key)
-    elapsed = time.monotonic() - started
-    return CheckResult(
-        name, True,
-        f"{keys} class sums equal their ribbon expansions and are symmetric (n <= {hi}, m = n, {elapsed:.1f}s)",
-    )
+                return _fail(f"class sum is not symmetric at n={n}", key)
+    return f"{keys} class sums equal their ribbon expansions and are symmetric (n <= {hi}, m = n)"
 
 
-def check_s8_expansions(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "s8_expansions"
+@check("ribbon")
+def check_s8_expansions() -> Outcome:
     plus = qsym.ribbon_expansion(ClassKey(8, 10, True)).compositions
     minus = qsym.ribbon_expansion(ClassKey(8, 10, False)).compositions
     if plus != frozenset({(1, 1, 1, 1, 4), (2, 1, 2, 3), (1, 3, 1, 3), (1, 2, 3, 2), (4, 2, 2)}):
-        return _fail(name, "expansion of the 1-before-n class at (8, 10)", sorted(plus))
+        return _fail("expansion of the 1-before-n class at (8, 10)", sorted(plus))
     if minus != frozenset({(1, 1, 5, 1), (3, 4, 1)}):
-        return _fail(name, "expansion of the n-before-1 class at (8, 10)", sorted(minus))
-    return CheckResult(name, True, "both 10-inversion expansions at n=8 reproduced")
+        return _fail("expansion of the n-before-1 class at (8, 10)", sorted(minus))
+    return "both 10-inversion expansions at n=8 reproduced"
 
 
-def check_multiplicity_freeness(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "multiplicity_freeness"
-    hi = _bound(8, max_n, force)
+@check("ribbon", 8)
+def check_multiplicity_freeness(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         for key in forgotten.all_class_keys(n):
             lam = forgotten.lambda_members(key)
             if len({recoil_composition(w) for w in lam}) != len(lam):
-                return _fail(name, f"lambda members share a recoil composition at n={n}", key)
+                return _fail(f"lambda members share a recoil composition at n={n}", key)
             vee = forgotten.v_members(key)
             if len({recoil_composition(w) for w in vee}) != len(vee):
-                return _fail(name, f"v members share a recoil composition at n={n}", key)
-    return CheckResult(name, True, f"shape members have pairwise distinct recoils (n <= {hi})")
+                return _fail(f"v members share a recoil composition at n={n}", key)
+    return f"shape members have pairwise distinct recoils (n <= {hi})"
 
 
-def check_composition_partition(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "composition_partition"
-    hi = _bound(8, max_n, force)
+@check("ribbon", 8)
+def check_composition_partition(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         for k in range(n * (n - 1) // 2 + 1):
             plus_lo, plus_hi = forgotten.inv_bounds(n, True)
@@ -640,64 +662,61 @@ def check_composition_partition(max_n: int | None = None, force: bool = False) -
                 else frozenset()
             )
             if not (plus_lo <= k <= plus_hi) and qsym.compositions_with_maj(n, k, "not_ends_in_one"):
-                return _fail(name, f"compositions exist outside the 1-before-n range at n={n}", k)
+                return _fail(f"compositions exist outside the 1-before-n range at n={n}", k)
             if not (minus_lo <= k <= minus_hi) and qsym.compositions_with_maj(n, k, "ends_in_one"):
-                return _fail(name, f"compositions exist outside the n-before-1 range at n={n}", k)
+                return _fail(f"compositions exist outside the n-before-1 range at n={n}", k)
             if plus & minus:
-                return _fail(name, f"expansions overlap at n={n}", k)
+                return _fail(f"expansions overlap at n={n}", k)
             if plus | minus != qsym.compositions_with_maj(n, k, "all"):
-                return _fail(name, f"expansions fail to cover the major-index stratum at n={n}", k)
-    return CheckResult(name, True, f"expansion pairs partition each major-index stratum (n <= {hi})")
+                return _fail(f"expansions fail to cover the major-index stratum at n={n}", k)
+    return f"expansion pairs partition each major-index stratum (n <= {hi})"
 
 
 # ---------------------------------------------------------------------------
 # foata suite
 
 
-def check_foata_core(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "foata_core"
-    hi = _bound(7, max_n, force)
+@check("foata", 7)
+def check_foata_core(hi: int) -> Outcome:
     for n in range(1, hi + 1):
         images = set()
         for p in all_permutations(n):
             image = qsym.foata(p)
             images.add(image)
             if inversion_number(image) != major_index(p):
-                return _fail(name, f"inv of the image differs from maj at n={n}", p)
+                return _fail(f"inv of the image differs from maj at n={n}", p)
             if recoil_composition(image) != recoil_composition(p):
-                return _fail(name, f"recoil composition not preserved at n={n}", p)
+                return _fail(f"recoil composition not preserved at n={n}", p)
             if n >= 2 and (image[0] < image[-1]) != (p[-2] < p[-1]):
-                return _fail(name, f"endpoint sign property violated at n={n}", p)
+                return _fail(f"endpoint sign property violated at n={n}", p)
         if len(images) != math.factorial(n):
-            return _fail(name, f"transform not bijective at n={n}", n)
-    return CheckResult(name, True, f"maj -> inv, recoils kept, bijective, endpoint signs agree (n <= {hi})")
+            return _fail(f"transform not bijective at n={n}", n)
+    return f"maj -> inv, recoils kept, bijective, endpoint signs agree (n <= {hi})"
 
 
-def check_ns_properties(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "ns_properties"
-    hi = _bound(7, max_n, force)
+@check("foata", 7)
+def check_ns_properties(hi: int) -> Outcome:
     for n in range(1, hi + 1):
         images = set()
         for p in all_permutations(n):
             image = qsym.ns_map(p)
             images.add(image)
             if descent_set(image) != descent_set(p):
-                return _fail(name, f"descent set not preserved at n={n}", p)
+                return _fail(f"descent set not preserved at n={n}", p)
             if inversion_number(image) != major_index(inverse(p)):
-                return _fail(name, f"inv of the image differs from maj of the inverse at n={n}", p)
+                return _fail(f"inv of the image differs from maj of the inverse at n={n}", p)
             if n >= 2:
                 one_first = image.index(1) < image.index(n)
                 pre = p.index(n - 1) < p.index(n)
                 if one_first != pre:
-                    return _fail(name, f"sign transfer violated at n={n}", p)
+                    return _fail(f"sign transfer violated at n={n}", p)
         if len(images) != math.factorial(n):
-            return _fail(name, f"map not bijective at n={n}", n)
-    return CheckResult(name, True, f"descents kept, maj of inverse -> inv, bijective (n <= {hi})")
+            return _fail(f"map not bijective at n={n}", n)
+    return f"descents kept, maj of inverse -> inv, bijective (n <= {hi})"
 
 
-def check_ns_image(max_n: int | None = None, force: bool = False) -> CheckResult:
-    name = "ns_image"
-    hi = _bound(7, max_n, force)
+@check("foata", 7)
+def check_ns_image(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         sources: dict[tuple[int, bool], set[Perm]] = {}
         targets: dict[tuple[int, bool], set[Perm]] = {}
@@ -709,69 +728,11 @@ def check_ns_image(max_n: int | None = None, force: bool = False) -> CheckResult
         for bucket, members in sources.items():
             image = {qsym.ns_map(p) for p in members}
             if image != targets.get(bucket, set()):
-                return _fail(name, f"image of a maj stratum is not the matching class at n={n}", bucket)
-    return CheckResult(name, True, f"maj strata map onto forgotten classes (n <= {hi})")
-
-
-# ---------------------------------------------------------------------------
-# suite registry
-
-Check = Callable[..., CheckResult]
-
-SUITES: dict[str, list[Check]] = {
-    "classes": [
-        check_move_soundness,
-        check_key_matches_closure,
-        check_class_count,
-        check_small_tables,
-        check_partition_totals,
-        check_boundary_elements,
-        check_inverse_on_lex,
-        check_schuetzenberger_key,
-        check_schuetzenberger_membership,
-        check_coforgotten,
-        check_reversal_closure_classes,
-    ],
-    "canonical": [
-        check_lex_lists,
-        check_lex_count,
-        check_lex_bruteforce,
-        check_canonical_lexmin,
-        check_form_formulas,
-        check_section5_examples,
-        check_lambda_chain,
-        check_lambda_members_examples,
-        check_lambda_v_membership,
-    ],
-    "insertion": [
-        check_insertion_table,
-        check_insertion_exhaustive,
-    ],
-    "commutation": [
-        check_word_move_soundness,
-        check_restriction_consistency,
-        check_normal_form_invariance,
-        check_commutation,
-        check_reversal_closure_words,
-    ],
-    "ribbon": [
-        check_sign_pairing,
-        check_ribbon_theorem,
-        check_s8_expansions,
-        check_multiplicity_freeness,
-        check_composition_partition,
-    ],
-    "foata": [
-        check_foata_core,
-        check_ns_properties,
-        check_ns_image,
-    ],
-}
-
-SUITES["all"] = [check for suite in ("classes", "canonical", "insertion", "commutation", "ribbon", "foata") for check in SUITES[suite]]
+                return _fail(f"image of a maj stratum is not the matching class at n={n}", bucket)
+    return f"maj strata map onto forgotten classes (n <= {hi})"
 
 
 def run_suite(suite: str, max_n: int | None = None, force: bool = False) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    return [check(max_n=max_n, force=force) for check in SUITES[suite]]
+    return [run(max_n=max_n, force=force) for run in SUITES[suite]]

@@ -7,9 +7,10 @@ The four window rules (a < b < c throughout) are
 
     aba <-> baa,   bab <-> bba,   acb <-> bac,   bca <-> cab.
 
-No orientation of these rules is assumed confluent; a class's normal form is
-simply the lexicographically least word of its closure, which is cheap to
-compute at the word lengths used here.
+This is the package's one rule table; on permutations only the last two
+rules act.  No orientation of these rules is assumed confluent; a class's
+normal form is simply the lexicographically least word of its closure, which
+is cheap to compute at the word lengths used here.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ def general_moves(w: Sequence[int]) -> set[Word]:
 
 
 def word_closure(w: Sequence[int]) -> set[Word]:
-    """The full rewriting class of w, by breadth-first search."""
+    """The full rewriting class of w, by breadth-first search; on a
+    permutation only the distinct-letter rules act, so this is its forgotten
+    class."""
     start = tuple(w)
     seen = {start}
     queue = deque([start])
@@ -171,14 +174,6 @@ class NCPolynomial:
 
     def __repr__(self) -> str:
         return f"NCPolynomial(q={self.alphabet_size}, {self})"
-
-    def to_json_list(self) -> list:
-        return [{"word": list(word), "coeff": self.terms[word]} for word in sorted(self.terms)]
-
-    @classmethod
-    def from_json_list(cls, alphabet_size: int, data: list) -> "NCPolynomial":
-        terms = {tuple(entry["word"]): int(entry["coeff"]) for entry in data}
-        return cls(alphabet_size, terms)
 
 
 def elementary_e(k: int, alphabet_size: int) -> NCPolynomial:

@@ -13,11 +13,9 @@ from forgottenmonoid.forgotten import (
     canonical_of,
     canonical_of_key,
     canonical_word,
-    class_closure,
     class_key,
     classes_count,
     coforgotten_equivalent,
-    elementary_moves,
     equivalent,
     form_from_inversions,
     form_inversions,
@@ -40,6 +38,7 @@ from forgottenmonoid.perms import (
     is_v_shaped,
     standardize,
 )
+from forgottenmonoid.words import general_moves, word_closure
 
 PAPER_CLASS_N5 = {
     (1, 2, 5, 4, 3), (1, 3, 4, 5, 2), (1, 3, 5, 2, 4), (1, 4, 2, 5, 3),
@@ -55,29 +54,29 @@ def digits(p):
 
 class TestElementaryMoves:
     def test_examples(self):
-        assert elementary_moves((1, 2, 3)) == set()
-        assert elementary_moves((1, 3, 2)) == {(2, 1, 3)}
-        assert elementary_moves((2, 3, 1)) == {(3, 1, 2)}
+        assert general_moves((1, 2, 3)) == set()
+        assert general_moves((1, 3, 2)) == {(2, 1, 3)}
+        assert general_moves((2, 3, 1)) == {(3, 1, 2)}
 
     def test_moves_are_symmetric(self):
         for p in all_permutations(5):
-            for q in elementary_moves(p):
-                assert p in elementary_moves(q)
+            for q in general_moves(p):
+                assert p in general_moves(q)
 
     def test_window_count_bound(self):
         for p in all_permutations(5):
-            assert len(elementary_moves(p)) <= len(p) - 2
+            assert len(general_moves(p)) <= len(p) - 2
 
 
 class TestClosure:
     def test_identity_is_alone(self):
-        assert class_closure(tuple(range(1, 7))) == {tuple(range(1, 7))}
+        assert word_closure(tuple(range(1, 7))) == {tuple(range(1, 7))}
 
     def test_paper_class_at_n5(self):
-        assert class_closure((1, 2, 5, 4, 3)) == PAPER_CLASS_N5
+        assert word_closure((1, 2, 5, 4, 3)) == PAPER_CLASS_N5
 
     def test_size_example(self):
-        assert len(class_closure((2, 1, 4, 3))) == 5
+        assert len(word_closure((2, 1, 4, 3))) == 5
 
 
 class TestClassKey:
@@ -89,6 +88,14 @@ class TestClassKey:
     def test_requires_n_at_least_two(self):
         with pytest.raises(ValueError):
             class_key((1,))
+
+    def test_rejects_non_permutations(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            canonical_of((1, 1, 3))
+        with pytest.raises(ValueError, match="not a permutation"):
+            equivalent((1, 1, 3), (1, 2, 3))
+        with pytest.raises(ValueError, match="not a permutation"):
+            class_key((2, 2))
 
     def test_bounds_enforced(self):
         ClassKey(5, 6, True)  # top of the 1-before-n range
@@ -145,7 +152,7 @@ class TestEquivalence:
     def test_agrees_with_closure_at_n5(self):
         # the key shortcut against the breadth-first oracle
         for p in all_permutations(5):
-            closure = class_closure(p)
+            closure = word_closure(p)
             for q in all_permutations(5):
                 assert equivalent(p, q) == (q in closure)
 
@@ -216,7 +223,7 @@ class TestCanonicalElements:
     def test_lex_minimum_of_closure(self):
         for n in range(2, 6):
             for p in all_permutations(n):
-                assert canonical_of(p) == min(class_closure(p))
+                assert canonical_of(p) == min(word_closure(p))
 
     def test_lex_lists(self):
         assert lex_enumerate(1) == [(1,)]
@@ -369,5 +376,5 @@ class TestKeyListing:
 
     def test_class_sizes_sum_to_factorial(self):
         for n in range(2, 7):
-            total = sum(len(class_closure(canonical_of_key(key))) for key in all_class_keys(n))
+            total = sum(len(word_closure(canonical_of_key(key))) for key in all_class_keys(n))
             assert total == math.factorial(n)

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import pytest
@@ -46,13 +45,6 @@ class TestTruncatedPolynomial:
         assert a + b == TruncatedPolynomial(2, 2, {(2, 0): 1, (1, 1): 4})
         with pytest.raises(ValueError):
             a + TruncatedPolynomial(3, 2, {(1, 1, 0): 1})
-
-    def test_json_round_trip(self):
-        p = fundamental_qsym(3, {1}, 3)
-        blob = json.dumps(p.to_json_dict())
-        rebuilt = TruncatedPolynomial.from_json_dict(json.loads(blob))
-        assert rebuilt == p
-        assert json.dumps(rebuilt.to_json_dict()) == blob
 
 
 class TestFundamental:

@@ -1,9 +1,7 @@
 import itertools
-import json
 
 import pytest
 
-from forgottenmonoid.forgotten import elementary_moves
 from forgottenmonoid.perms import inversion_number, standardize
 from forgottenmonoid.words import (
     NCPolynomial,
@@ -16,6 +14,21 @@ from forgottenmonoid.words import (
     word_closure,
     word_normal_form,
 )
+
+# The paper's rewrites on permutations, 132 <-> 213 and 231 <-> 312, on
+# standardized windows: an oracle that does not use the words rule table.
+PERMUTATION_REWRITES = {(1, 3, 2): (2, 1, 3), (2, 1, 3): (1, 3, 2), (2, 3, 1): (3, 1, 2), (3, 1, 2): (2, 3, 1)}
+
+
+def permutation_moves(p):
+    moves = set()
+    for i in range(len(p) - 2):
+        window = p[i:i + 3]
+        image = PERMUTATION_REWRITES.get(standardize(window))
+        if image is not None:
+            low = sorted(window)
+            moves.add(p[:i] + tuple(low[r - 1] for r in image) + p[i + 3:])
+    return moves
 
 
 class TestGeneralMoves:
@@ -30,9 +43,9 @@ class TestGeneralMoves:
                 assert w in general_moves(u)
 
     def test_restriction_to_permutations(self):
-        for w in itertools.permutations(range(1, 5), 4):
-            got = {standardize(u) for u in general_moves(w)}
-            assert got == elementary_moves(standardize(w))
+        for n in range(1, 8):
+            for p in itertools.permutations(range(1, n + 1)):
+                assert general_moves(p) == permutation_moves(p)
 
 
 class TestClosure:
@@ -89,13 +102,6 @@ class TestNCPolynomial:
         e1, e2 = elementary_e(1, 2), elementary_e(2, 2)
         assert str(e1 * e2 - e2 * e1) == "+1*(1,2,1) -1*(2,1,1) -1*(2,1,2) +1*(2,2,1)"
         assert str(NCPolynomial.zero(3)) == "0"
-
-    def test_json_round_trip(self):
-        p = elementary_e(2, 3) - elementary_e(1, 3) * elementary_e(1, 3)
-        blob = json.dumps(p.to_json_list())
-        rebuilt = NCPolynomial.from_json_list(3, json.loads(blob))
-        assert rebuilt == p
-        assert json.dumps(rebuilt.to_json_list()) == blob
 
 
 class TestElementary:
