@@ -49,7 +49,6 @@ from .perms import (
     standardize,
 )
 from .qsym import (
-    ExpansionMismatch,
     RibbonSum,
     TruncatedPolynomial,
     class_qsym_sum,

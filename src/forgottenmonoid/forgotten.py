@@ -243,7 +243,8 @@ def canonical_of(p: Sequence[int]) -> Perm:
 
 
 def is_canonical(p: Sequence[int]) -> bool:
-    """True iff p avoids 213, 312, 13452, and 34521."""
+    """True iff the permutation p avoids 213, 312, 13452, and 34521."""
+    p = check_permutation(p)
     return all(avoids_pattern(p, pattern) for pattern in FORBIDDEN_PATTERNS)
 
 

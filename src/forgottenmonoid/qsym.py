@@ -18,23 +18,14 @@ from typing import Iterable, Sequence
 from .forgotten import ClassKey, canonical_of_key, lambda_members, v_members
 from .perms import (
     Composition,
-    all_compositions,
     all_permutations,
     check_composition,
-    composition_maj,
     descent_set,
-    format_composition,
     inverse,
     recoil_composition,
     reverse,
 )
 from .words import word_closure
-
-ENDINGS = ("all", "ends_in_one", "not_ends_in_one")
-
-
-class ExpansionMismatch(RuntimeError):
-    """The independent ribbon-expansion methods disagreed."""
 
 
 class TruncatedPolynomial:
@@ -242,27 +233,39 @@ def ns_map(p: Sequence[int]) -> tuple[int, ...]:
     return inverse(foata(inverse(p)))
 
 
-def compositions_with_maj(n: int, maj: int, ending: str = "all") -> set[Composition]:
+def compositions_with_maj(n: int, maj: int) -> set[Composition]:
     """
-    All compositions of n with the given major index, optionally filtered by
-    whether the last part equals 1.
+    All compositions of n with the given major index.
 
-    >>> sorted(compositions_with_maj(5, 3, "not_ends_in_one"))
+    The major index of a composition is the sum of its partial sums below n,
+    so the hits are the subsets of 1..n-1 that sum to maj.  They are built
+    largest part first, and a part y is taken only while the remainder left
+    after it is at most 1 + 2 + .. + (y - 1), so every branch ends in a hit.
+
+    >>> sorted(compositions_with_maj(5, 3))
     [(1, 1, 3), (3, 2)]
     """
-    if ending not in ENDINGS:
-        raise ValueError(f"ending must be one of {ENDINGS}, got {ending!r}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if maj < 0:
         raise ValueError(f"major index must be nonnegative, got {maj}")
     found: set[Composition] = set()
-    for parts in all_compositions(n):
-        if composition_maj(parts) != maj:
-            continue
-        if ending == "ends_in_one" and parts[-1] != 1:
-            continue
-        if ending == "not_ends_in_one" and parts[-1] == 1:
-            continue
-        found.add(parts)
+    cuts: list[int] = []  # partial sums, largest first
+
+    def extend(remainder: int, largest: int) -> None:
+        if remainder == 0:
+            ascending = cuts[::-1]
+            found.add(tuple(b - a for a, b in zip([0, *ascending], [*ascending, n])))
+            return
+        for y in range(min(largest, remainder), 0, -1):
+            if remainder - y > y * (y - 1) // 2:
+                break
+            cuts.append(y)
+            extend(remainder - y, y - 1)
+            cuts.pop()
+
+    if maj <= n * (n - 1) // 2:
+        extend(maj, n - 1)
     return found
 
 
@@ -297,34 +300,20 @@ def expansion_by_v(key: ClassKey) -> set[Composition]:
     return {recoil_composition(w) for w in v_members(key)}
 
 
-def expansion_by_maj(key: ClassKey) -> set[Composition]:
-    """
-    Compositions with major index equal to the class's inversion count,
-    keeping those not ending in 1 for 1-before-n classes and those ending
-    in 1 otherwise.  (The worked small cases force this pairing of signs to
-    endings; see ``verify.check_sign_pairing`` for the machine check.)
-    """
-    ending = "not_ends_in_one" if key.one_before_n else "ends_in_one"
-    return compositions_with_maj(key.n, key.inv, ending)
-
-
 def ribbon_expansion(key: ClassKey) -> RibbonSum:
     """
     The set of ribbon compositions whose ribbon Schur functions sum to the
-    class's quasi-symmetric sum.  Computed three independent ways on every
-    call; disagreement raises ExpansionMismatch.
+    class's quasi-symmetric sum: the compositions with major index equal to
+    the class's inversion count, keeping those not ending in 1 for
+    1-before-n classes and those ending in 1 otherwise.  ``verify`` checks
+    this against the lambda and v expansions (``check_composition_partition``)
+    and the pairing of signs to endings (``check_sign_pairing``).
     """
-    by_lambda = expansion_by_lambda(key)
-    by_v = expansion_by_v(key)
-    by_maj = expansion_by_maj(key)
-    if not (by_lambda == by_v == by_maj):
-        raise ExpansionMismatch(
-            f"expansion methods disagree for key {key}: "
-            f"lambda={sorted(map(format_composition, by_lambda))}, "
-            f"v={sorted(map(format_composition, by_v))}, "
-            f"maj={sorted(map(format_composition, by_maj))}"
-        )
-    return RibbonSum(key.n, frozenset(by_lambda))
+    return RibbonSum(key.n, frozenset(
+        parts
+        for parts in compositions_with_maj(key.n, key.inv)
+        if (parts[-1] == 1) != key.one_before_n
+    ))
 
 
 def class_qsym_sum(key: ClassKey, num_vars: int) -> TruncatedPolynomial:

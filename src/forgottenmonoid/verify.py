@@ -22,8 +22,11 @@ from typing import Callable, Iterable, NamedTuple
 from . import forgotten, qsym, words
 from .forgotten import ClassKey, _key_pair, class_key
 from .perms import (
+    Composition,
     Perm,
+    all_compositions,
     all_permutations,
+    composition_maj,
     descent_composition,
     descent_set,
     inverse,
@@ -68,6 +71,7 @@ Outcome = str | _Failure
 Check = Callable[..., CheckResult]
 
 SUITES: dict[str, list[Check]] = {}
+MIN_MAX_N = 3  # the smallest sweep bound at which every check does work
 
 
 def check(suite: str, default_max_n: int | None = None, *, name: str | None = None):
@@ -77,15 +81,19 @@ def check(suite: str, default_max_n: int | None = None, *, name: str | None = No
 
     A body with a default bound takes the sweep bound: default_max_n, or
     max_n clamped to it unless force is set.  A body without one takes
-    nothing and ignores max_n.  The registered check times the body and
-    wraps its outcome in a CheckResult reported under `name`, by default the
-    function name without its "check_" prefix.
+    nothing and ignores max_n.  A max_n below MIN_MAX_N raises ValueError,
+    even with force, since some sweep would then check nothing.  The
+    registered check times the body and wraps its outcome in a CheckResult
+    reported under `name`, by default the function name without its
+    "check_" prefix.
     """
 
     def register(body: Callable[..., Outcome]) -> Check:
         reported = name or body.__name__.removeprefix("check_")
 
         def run(max_n: int | None = None, force: bool = False) -> CheckResult:
+            if max_n is not None and max_n < MIN_MAX_N:
+                raise ValueError(f"max_n must be at least {MIN_MAX_N}, got {max_n}")
             started = time.perf_counter()
             if default_max_n is None:
                 outcome = body()
@@ -587,8 +595,9 @@ def check_sign_pairing() -> Outcome:
     for n in (4, 5):
         for key in forgotten.all_class_keys(n):
             by_lambda = qsym.expansion_by_lambda(key)
-            ends = qsym.compositions_with_maj(n, key.inv, "ends_in_one")
-            not_ends = qsym.compositions_with_maj(n, key.inv, "not_ends_in_one")
+            stratum = qsym.compositions_with_maj(n, key.inv)
+            ends = {parts for parts in stratum if parts[-1] == 1}
+            not_ends = stratum - ends
             adopted = not_ends if key.one_before_n else ends
             literal = ends if key.one_before_n else not_ends
             if by_lambda != adopted:
@@ -612,7 +621,7 @@ def check_ribbon_theorem(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         for key in forgotten.all_class_keys(n):
             keys += 1
-            expansion = qsym.ribbon_expansion(key)  # raises on method disagreement
+            expansion = qsym.ribbon_expansion(key)
             class_sum = qsym.class_qsym_sum(key, n)
             if class_sum != expansion.evaluate(n):
                 return _fail(f"class sum differs from its ribbon sum at n={n}", key)
@@ -647,29 +656,31 @@ def check_multiplicity_freeness(hi: int) -> Outcome:
 
 @check("ribbon", 8)
 def check_composition_partition(hi: int) -> Outcome:
+    keys = 0
     for n in range(2, hi + 1):
+        strata: dict[int, set[Composition]] = {}
+        for parts in all_compositions(n):
+            strata.setdefault(composition_maj(parts), set()).add(parts)
         for k in range(n * (n - 1) // 2 + 1):
-            plus_lo, plus_hi = forgotten.inv_bounds(n, True)
-            minus_lo, minus_hi = forgotten.inv_bounds(n, False)
-            plus = (
-                qsym.ribbon_expansion(ClassKey(n, k, True)).compositions
-                if plus_lo <= k <= plus_hi
-                else frozenset()
-            )
-            minus = (
-                qsym.ribbon_expansion(ClassKey(n, k, False)).compositions
-                if minus_lo <= k <= minus_hi
-                else frozenset()
-            )
-            if not (plus_lo <= k <= plus_hi) and qsym.compositions_with_maj(n, k, "not_ends_in_one"):
-                return _fail(f"compositions exist outside the 1-before-n range at n={n}", k)
-            if not (minus_lo <= k <= minus_hi) and qsym.compositions_with_maj(n, k, "ends_in_one"):
-                return _fail(f"compositions exist outside the n-before-1 range at n={n}", k)
-            if plus & minus:
-                return _fail(f"expansions overlap at n={n}", k)
-            if plus | minus != qsym.compositions_with_maj(n, k, "all"):
+            stratum = strata.get(k, set())
+            covered: set[Composition] = set()
+            for one_before_n, sign in ((True, "1-before-n"), (False, "n-before-1")):
+                lo, top = forgotten.inv_bounds(n, one_before_n)
+                if not lo <= k <= top:
+                    if any((parts[-1] == 1) != one_before_n for parts in stratum):
+                        return _fail(f"compositions exist outside the {sign} range at n={n}", k)
+                    continue
+                key = ClassKey(n, k, one_before_n)
+                keys += 1
+                expansion = qsym.ribbon_expansion(key).compositions
+                if not expansion == qsym.expansion_by_lambda(key) == qsym.expansion_by_v(key):
+                    return _fail(f"maj, lambda and v expansions disagree at n={n}", key)
+                if covered & expansion:
+                    return _fail(f"expansions overlap at n={n}", k)
+                covered |= expansion
+            if covered != stratum:
                 return _fail(f"expansions fail to cover the major-index stratum at n={n}", k)
-    return f"expansion pairs partition each major-index stratum (n <= {hi})"
+    return f"maj, lambda and v expansions agree on {keys} keys and each pair partitions its major-index stratum (n <= {hi})"
 
 
 # ---------------------------------------------------------------------------

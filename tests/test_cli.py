@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from forgottenmonoid.cli import main
+from forgottenmonoid.cli import SHAPE_CAP, main
 
 
 def run(capsys, *argv):
@@ -143,10 +144,33 @@ class TestExitCodes:
         code, _, err = run(capsys, "canonical", "--key", "5,3")
         assert code == 2
 
+    @pytest.mark.parametrize("max_n", ["-3", "2"])
+    def test_verify_bound_below_3_is_domain_error(self, capsys, max_n):
+        code, out, err = run(capsys, "verify", "all", "--max-n", max_n)
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err
+
+    def test_verify_bound_3_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--max-n", "3")
+        assert code == 0
+        assert out.splitlines()[-1] == "35/35 checks passed"
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["verify", "nonsense"])
         assert info.value.code == 2
+
+
+class TestCaps:
+    @pytest.mark.parametrize("key", ["20,95,1n", "20,120,n1"])
+    def test_ribbons_at_shape_cap_within_a_second(self, capsys, key):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "ribbons", "--key", key, "--json")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert json.loads(out)["key"]["n"] == SHAPE_CAP
+        assert elapsed < 1.0
 
 
 class TestJsonRoundTrips:

@@ -242,6 +242,12 @@ class TestCanonicalElements:
         assert is_canonical((1, 2, 4, 5, 3))
         assert not is_canonical((1, 3, 4, 5, 2))
 
+    def test_is_canonical_rejects_non_permutations(self):
+        with pytest.raises(ValueError):
+            is_canonical((1, 1, 3))
+        with pytest.raises(ValueError):
+            is_canonical((2, 2))
+
     def test_is_canonical_matches_enumeration(self):
         for n in range(2, 7):
             members = set(lex_enumerate(n))

@@ -2,11 +2,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from forgottenmonoid import qsym
+from forgottenmonoid import qsym, verify
 from forgottenmonoid.forgotten import ClassKey, all_class_keys
 from forgottenmonoid.perms import (
+    all_compositions,
     all_permutations,
+    composition_maj,
     descent_set,
     inverse,
     inversion_number,
@@ -14,7 +17,6 @@ from forgottenmonoid.perms import (
     recoil_composition,
 )
 from forgottenmonoid.qsym import (
-    ExpansionMismatch,
     RibbonSum,
     TruncatedPolynomial,
     class_qsym_sum,
@@ -151,10 +153,19 @@ class TestCompositionsWithMaj:
         }
 
     def test_ending_filters(self):
-        assert compositions_with_maj(5, 3, "not_ends_in_one") == {(3, 2), (1, 1, 3)}
-        assert compositions_with_maj(5, 3, "ends_in_one") == set()
+        stratum = compositions_with_maj(5, 3)
+        assert {parts for parts in stratum if parts[-1] != 1} == {(3, 2), (1, 1, 3)}
+        assert {parts for parts in stratum if parts[-1] == 1} == set()
+
+    def test_matches_scan_of_all_compositions(self):
+        for n in range(1, 11):
+            for k in range(math.comb(n, 2) + 2):
+                expected = {parts for parts in all_compositions(n) if composition_maj(parts) == k}
+                assert compositions_with_maj(n, k) == expected, (n, k)
+
+    def test_negative_maj_raises(self):
         with pytest.raises(ValueError):
-            compositions_with_maj(5, 3, "sometimes")
+            compositions_with_maj(5, -1)
 
 
 class TestRibbonExpansion:
@@ -169,10 +180,14 @@ class TestRibbonExpansion:
         )
         assert str(minus) == "r[1,1,5,1] + r[3,4,1]"
 
-    def test_disagreement_is_fatal(self, monkeypatch):
+    def test_disagreement_fails_verify(self, monkeypatch):
         monkeypatch.setattr(qsym, "expansion_by_v", lambda key: {(key.n,), (1,) * key.n})
-        with pytest.raises(ExpansionMismatch):
-            ribbon_expansion(ClassKey(4, 1, True))
+        assert not verify.check_composition_partition(max_n=4).passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(9, 14).flatmap(lambda n: st.sampled_from(all_class_keys(n))))
+    def test_agrees_with_shape_members(self, key):
+        assert ribbon_expansion(key).compositions == qsym.expansion_by_lambda(key) == qsym.expansion_by_v(key)
 
     def test_empty_sum_prints_zero(self):
         assert str(RibbonSum(4, frozenset())) == "0"
