@@ -55,7 +55,6 @@ from .qsym import (
     compositions_with_maj,
     foata,
     fundamental_qsym,
-    is_symmetric,
     ns_map,
     ribbon_expansion,
     ribbon_schur,

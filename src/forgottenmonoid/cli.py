@@ -120,8 +120,8 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
     }
     lines = [str(expansion)]
     if args.vars is not None:
-        num_vars = args.vars if args.vars > 0 else key.n
-        _require(num_vars >= 1, f"need at least one variable, got {num_vars}")
+        num_vars = args.vars or key.n
+        _require(num_vars <= key.n or args.force, f"M={num_vars} above n={key.n}; n variables fix the sum (use --force)")
         _require(
             key.n <= CLOSURE_CAP or args.force,
             f"evaluating the sum needs n <= {CLOSURE_CAP} (use --force)",
@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", help="any member of the class")
     p.add_argument(
         "--vars", type=int, nargs="?", const=0, default=None, metavar="M",
-        help="also evaluate the ribbon sum in M variables (omit M to use n)",
+        help="also evaluate the ribbon sum in M <= n variables (omit M or give 0 to use n)",
     )
 
     p = add("phi", _cmd_phi, "Foata transform of a permutation")

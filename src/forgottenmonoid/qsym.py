@@ -3,13 +3,14 @@ Quasi-symmetric functions truncated to finitely many variables, ribbon Schur
 functions, the Foata transform, and the ribbon expansion of forgotten-class
 sums.
 
-Two homogeneous degree-n quasi-symmetric functions agree iff their
-truncations to n variables agree, so n variables is the default everywhere a
-polynomial identity is checked.
+A sum of fundamentals F_D is kept as its histogram of descent sets D, which
+fixes it since the F_D are a basis; it becomes a polynomial only for output,
+in n variables by default, which determine a degree-n function.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,8 +19,8 @@ from typing import Iterable, Sequence
 from .forgotten import ClassKey, canonical_of_key, lambda_members, v_members
 from .perms import (
     Composition,
-    all_permutations,
     check_composition,
+    composition_from_subset,
     descent_set,
     inverse,
     recoil_composition,
@@ -50,45 +51,10 @@ class TruncatedPolynomial:
             clean[tuple(exponents)] = coeff
         self.terms = clean
 
-    @classmethod
-    def zero(cls, num_vars: int, degree: int) -> "TruncatedPolynomial":
-        return cls(num_vars, degree)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check_compatible(self, other: "TruncatedPolynomial") -> None:
-        if self.num_vars != other.num_vars or self.degree != other.degree:
-            raise ValueError(
-                f"shape mismatch: (m={self.num_vars}, deg={self.degree})"
-                f" vs (m={other.num_vars}, deg={other.degree})"
-            )
-
-    def __add__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for exponents, coeff in other.terms.items():
-            terms[exponents] = terms.get(exponents, 0) + coeff
-        return TruncatedPolynomial(self.num_vars, self.degree, terms)
-
-    def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for exponents, coeff in other.terms.items():
-            terms[exponents] = terms.get(exponents, 0) - coeff
-        return TruncatedPolynomial(self.num_vars, self.degree, terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedPolynomial):
             return NotImplemented
-        return (
-            self.num_vars == other.num_vars
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, self.degree, frozenset(self.terms.items())))
+        return (self.num_vars, self.degree, self.terms) == (other.num_vars, other.degree, other.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -116,19 +82,6 @@ class TruncatedPolynomial:
                 for exponents in sorted(self.terms)
             ],
         }
-
-
-def is_symmetric(p: TruncatedPolynomial) -> bool:
-    """True iff p is invariant under every adjacent swap of its variables."""
-    for j in range(p.num_vars - 1):
-        swapped: dict[tuple[int, ...], int] = {}
-        for exponents, coeff in p.terms.items():
-            e = list(exponents)
-            e[j], e[j + 1] = e[j + 1], e[j]
-            swapped[tuple(e)] = coeff
-        if swapped != p.terms:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -169,27 +122,58 @@ def fundamental_qsym(n: int, descents: Iterable[int], num_vars: int) -> Truncate
     return _fundamental(n, descents, num_vars)
 
 
-@lru_cache(maxsize=None)
-def _ribbons_by_recoil(n: int, num_vars: int) -> dict[Composition, TruncatedPolynomial]:
-    sums: dict[Composition, Counter] = {}
-    for p in all_permutations(n):
-        poly = fundamental_qsym(n, frozenset(descent_set(p)), num_vars)
-        bucket = sums.setdefault(recoil_composition(p), Counter())
-        bucket.update(poly.terms)
+def descent_histogram(perms: Iterable[Sequence[int]]) -> Counter[int]:
+    """The multiset of descent sets of perms, each a bit mask with bit i - 1 for descent i."""
+    return Counter(sum(1 << (i - 1) for i in descent_set(p)) for p in perms)
+
+
+@lru_cache(maxsize=256)
+def _ribbons_by_recoil(parts: Composition) -> Counter[int]:
+    """
+    Descent histogram of the permutations with recoil composition parts: the
+    inverses of the q whose descents are exactly the partial sums of parts,
+    x being a descent of the inverse iff x + 1 precedes x.  Do not mutate.
+    """
+    n = sum(parts)
+    falls = set(itertools.accumulate(parts[:-1]))
+    histogram: Counter[int] = Counter()
+
+    def extend(last: int, descents: int, unused: frozenset[int]) -> None:
+        if not unused:
+            histogram[descents] += 1
+        falling = n - len(unused) in falls
+        for x in unused:
+            if (x < last) == falling:
+                placed_above = x < n and x + 1 not in unused
+                extend(x, descents | 1 << (x - 1) if placed_above else descents, unused - {x})
+
+    extend(0, 0, frozenset(range(1, n + 1)))
+    return histogram
+
+
+def monomial_coefficients(histogram: Counter[int], n: int) -> dict[Composition, int]:
+    """
+    The coefficient of each M_alpha in the sum of F_D over a histogram: F_D
+    sums the M_U over U containing D, so M_U counts the D inside U.
+
+    >>> monomial_coefficients(descent_histogram([(1, 3, 2), (2, 1, 3)]), 3)
+    {(3,): 0, (1, 2): 1, (2, 1): 1, (1, 1, 1): 2}
+    """
+    counts = [histogram[mask] for mask in range(1 << (n - 1))]
+    for bit in range(n - 1):
+        for mask in range(len(counts)):
+            if mask >> bit & 1:
+                counts[mask] += counts[mask ^ 1 << bit]
     return {
-        parts: TruncatedPolynomial(num_vars, n, dict(counter))
-        for parts, counter in sums.items()
+        composition_from_subset({i + 1 for i in range(n - 1) if mask >> i & 1}, n): count
+        for mask, count in enumerate(counts)
     }
 
 
 def ribbon_schur(parts: Sequence[int], num_vars: int) -> TruncatedPolynomial:
-    """
-    The ribbon Schur function of a composition, computed as the sum of
-    fundamental quasi-symmetric functions over all permutations whose recoil
-    composition equals it.
-    """
+    """The ribbon Schur function of a composition in num_vars variables."""
     parts = check_composition(parts)
-    return _ribbons_by_recoil(sum(parts), num_vars)[parts]
+    return RibbonSum(sum(parts), frozenset({parts})).evaluate(num_vars)
 
 
 def foata(p: Sequence[int]) -> tuple[int, ...]:
@@ -283,11 +267,23 @@ class RibbonSum:
             "r[" + ",".join(map(str, parts)) + "]" for parts in sorted(self.compositions)
         )
 
+    def histogram(self) -> Counter[int]:
+        """Descent histogram of the permutations whose recoil is one of the compositions."""
+        if any(sum(check_composition(parts)) != self.n for parts in self.compositions):
+            raise ValueError(f"not all compositions of {self.n}: {sorted(self.compositions)}")
+        return sum((_ribbons_by_recoil(parts) for parts in self.compositions), Counter())
+
     def evaluate(self, num_vars: int) -> TruncatedPolynomial:
-        total = TruncatedPolynomial.zero(num_vars, self.n)
-        for parts in self.compositions:
-            total = total + ribbon_schur(parts, num_vars)
-        return total
+        """The sum in num_vars variables: x^e takes the M coefficient at e's nonzero parts."""
+        if num_vars < 1:
+            raise ValueError(f"need at least one variable, got {num_vars}")
+        coefficients = monomial_coefficients(self.histogram(), self.n)
+        terms: dict[tuple[int, ...], int] = {}
+        for bars in itertools.combinations(range(self.n + num_vars - 1), num_vars - 1):
+            marks = (-1, *bars, self.n + num_vars - 1)
+            exponents = tuple(b - a - 1 for a, b in zip(marks, marks[1:]))
+            terms[exponents] = coefficients[tuple(e for e in exponents if e)]
+        return TruncatedPolynomial(num_vars, self.n, terms)
 
 
 def expansion_by_lambda(key: ClassKey) -> set[Composition]:
@@ -302,12 +298,10 @@ def expansion_by_v(key: ClassKey) -> set[Composition]:
 
 def ribbon_expansion(key: ClassKey) -> RibbonSum:
     """
-    The set of ribbon compositions whose ribbon Schur functions sum to the
-    class's quasi-symmetric sum: the compositions with major index equal to
-    the class's inversion count, keeping those not ending in 1 for
-    1-before-n classes and those ending in 1 otherwise.  ``verify`` checks
-    this against the lambda and v expansions (``check_composition_partition``)
-    and the pairing of signs to endings (``check_sign_pairing``).
+    The ribbons summing to the class's quasi-symmetric sum: the compositions
+    with major index equal to the class's inversion count, not ending in 1
+    for 1-before-n classes and ending in 1 otherwise.  ``verify`` checks
+    this against the lambda and v expansions and the sign pairing.
     """
     return RibbonSum(key.n, frozenset(
         parts

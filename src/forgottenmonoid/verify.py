@@ -615,19 +615,23 @@ def check_sign_pairing() -> Outcome:
     return detail
 
 
-@check("ribbon", 7)
+@check("ribbon", 8)
 def check_ribbon_theorem(hi: int) -> Outcome:
     keys = 0
     for n in range(2, hi + 1):
-        for key in forgotten.all_class_keys(n):
+        for members in closure_partition(n)[1]:
+            key = class_key(min(members))
             keys += 1
             expansion = qsym.ribbon_expansion(key)
-            class_sum = qsym.class_qsym_sum(key, n)
-            if class_sum != expansion.evaluate(n):
-                return _fail(f"class sum differs from its ribbon sum at n={n}", key)
-            if not qsym.is_symmetric(class_sum):
+            histogram = qsym.descent_histogram(members)
+            if histogram != expansion.histogram():
+                return _fail(f"class descent sets differ from its ribbons' at n={n}", key)
+            coefficients = qsym.monomial_coefficients(histogram, n)
+            if any(c != coefficients[tuple(sorted(parts))] for parts, c in coefficients.items()):
                 return _fail(f"class sum is not symmetric at n={n}", key)
-    return f"{keys} class sums equal their ribbon expansions and are symmetric (n <= {hi}, m = n)"
+            if n <= 6 and expansion.evaluate(n) != qsym.class_qsym_sum(key, n):
+                return _fail(f"class sum differs from its ribbon sum at n={n}", key)
+    return f"{keys} class descent histograms match their ribbon sums and are symmetric (n <= {hi}; polynomials, n <= {min(hi, 6)})"
 
 
 @check("ribbon")

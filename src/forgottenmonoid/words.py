@@ -244,6 +244,8 @@ def orientation_counterexamples(
     >>> orientation_counterexamples(4, 3, limit=1)
     [((2, 2, 1, 3), ((1, 2, 3, 2), (2, 1, 2, 3)))]
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     found: list[tuple[Word, tuple[Word, ...]]] = []
     for length in range(3, max_len + 1):
         for w in itertools.product(range(1, alphabet_size + 1), repeat=length):

@@ -90,11 +90,11 @@ def test_criterion_09_ribbon_theorem():
     started = time.monotonic()
     results = [
         verify.check_sign_pairing(),
-        verify.check_ribbon_theorem(max_n=7),
+        verify.check_ribbon_theorem(max_n=8),
         verify.check_s8_expansions(),
     ]
     elapsed = time.monotonic() - started
-    _report(9, "class sums equal ribbon sums, symmetric, methods agree (n<=7, m=n)", results, elapsed, budget=600.0)
+    _report(9, "class sums equal ribbon sums, symmetric, methods agree (n<=8)", results, elapsed, budget=600.0)
 
 
 def test_criterion_10_foata_and_ns():

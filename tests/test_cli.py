@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from forgottenmonoid.cli import SHAPE_CAP, main
+from forgottenmonoid.cli import CLOSURE_CAP, SHAPE_CAP, main
 
 
 def run(capsys, *argv):
@@ -156,6 +156,28 @@ class TestExitCodes:
         assert code == 0
         assert out.splitlines()[-1] == "35/35 checks passed"
 
+    @pytest.mark.parametrize("m", ["-3", "-1"])
+    def test_ribbons_negative_vars_is_domain_error(self, capsys, m):
+        code, out, err = run(capsys, "ribbons", "--key", "4,3,n1", "--vars", m, "--json")
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err
+
+    def test_ribbons_vars_above_n_needs_force(self, capsys):
+        code, out, err = run(capsys, "ribbons", "--key", "4,3,n1", "--vars", "60", "--json")
+        assert code == 3
+        assert out == "" and "--force" in err
+        code, out, _ = run(capsys, "ribbons", "--key", "4,3,n1", "--vars", "5", "--force", "--json")
+        assert code == 0
+        assert json.loads(out)["vars"] == 5
+
+    @pytest.mark.parametrize("limit", ["0", "-2"])
+    def test_confluence_limit_below_1_is_domain_error(self, capsys, limit):
+        code, out, err = run(capsys, "confluence", "--limit", limit)
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["verify", "nonsense"])
@@ -170,6 +192,16 @@ class TestCaps:
         elapsed = time.perf_counter() - started
         assert code == 0
         assert json.loads(out)["key"]["n"] == SHAPE_CAP
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("key", ["8,10,n1", "9,18,1n"])
+    def test_ribbons_with_vars_near_closure_cap_within_a_second(self, capsys, key):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "ribbons", "--key", key, "--vars", "--json")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["vars"] == payload["key"]["n"] <= CLOSURE_CAP
         assert elapsed < 1.0
 
 
