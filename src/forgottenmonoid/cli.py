@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import forgotten, qsym, verify, words
 from .perms import ParseError, format_permutation, parse_permutation
@@ -34,11 +34,12 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> int:
+def _emit(args: argparse.Namespace, payload: dict, lines: Callable[[], Iterable[str]]) -> int:
+    """Print the payload under --json, else the text lines, built only then."""
     if args.json:
         print(json.dumps(payload))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
     return EXIT_OK
 
@@ -47,22 +48,13 @@ def _cmd_classes(args: argparse.Namespace) -> int:
     n = args.n
     _require(n >= 2, f"need n >= 2, got {n}")
     _require(n <= LISTING_CAP or args.force, f"n={n} beyond the listing cap {LISTING_CAP} (use --force)")
-    with_sizes = n <= CLOSURE_CAP
-    records = []
-    for key in forgotten.all_class_keys(n):
-        canonical = forgotten.canonical_of_key(key)
-        record = {"key": key.to_json_dict(), "canonical": list(canonical)}
-        if with_sizes:
-            record["size"] = len(words.word_closure(canonical))
-        records.append((key, canonical, record))
-    payload = {"n": n, "classes": [record for _, _, record in records]}
-    lines = []
-    for key, canonical, record in records:
-        line = f"{key}  canonical={format_permutation(canonical)}"
-        if "size" in record:
-            line += f"  size={record['size']}"
-        lines.append(line)
-    return _emit(args, payload, lines)
+    records = [(key, forgotten.canonical_of_key(key), size) for key, size in forgotten.class_sizes(n).items()]
+    payload = {"n": n, "classes": [
+        {"key": key.to_json_dict(), "canonical": canonical, "size": size} for key, canonical, size in records
+    ]}
+    return _emit(args, payload, lambda: (
+        f"{key}  canonical={format_permutation(canonical)}  size={size}" for key, canonical, size in records
+    ))
 
 
 def _cmd_class_of(args: argparse.Namespace) -> int:
@@ -70,39 +62,31 @@ def _cmd_class_of(args: argparse.Namespace) -> int:
     _require(len(p) >= 2, "need a permutation of size >= 2")
     _require(len(p) <= CLOSURE_CAP or args.force, f"n={len(p)} beyond the closure cap {CLOSURE_CAP} (use --force)")
     key = forgotten.class_key(p)
-    members = sorted(words.word_closure(p))
-    canonical = forgotten.canonical_of(p)
-    payload = {
-        "key": key.to_json_dict(),
-        "canonical": list(canonical),
-        "size": len(members),
-        "members": [list(m) for m in members],
-    }
-    lines = [
+    members = forgotten.class_members(key)
+    canonical = forgotten.canonical_of_key(key)
+    payload = {"key": key.to_json_dict(), "canonical": canonical, "size": len(members), "members": members}
+    return _emit(args, payload, lambda: [
         f"key: {key}",
         f"canonical: {format_permutation(canonical)}",
         f"size: {len(members)}",
-        "members: " + " ".join(format_permutation(m) for m in members),
-    ]
-    return _emit(args, payload, lines)
+        "members: " + " ".join(map(format_permutation, members)),
+    ])
 
 
 def _cmd_canonical(args: argparse.Namespace) -> int:
     key = forgotten.parse_class_key(args.key)
     form = forgotten.form_of_key(key)
     word = forgotten.canonical_word(form)
-    payload = {"key": key.to_json_dict(), "canonical": list(word), "form": str(form)}
-    lines = [f"canonical: {format_permutation(word)}", f"form: {form}"]
-    return _emit(args, payload, lines)
+    payload = {"key": key.to_json_dict(), "canonical": word, "form": str(form)}
+    return _emit(args, payload, lambda: [f"canonical: {format_permutation(word)}", f"form: {form}"])
 
 
 def _cmd_insert(args: argparse.Namespace) -> int:
     w = parse_permutation(args.word)
     result = forgotten.insert(w, args.letter)
     form = forgotten.form_of_key(forgotten.class_key(result))
-    payload = {"result": list(result), "form": str(form)}
-    lines = [f"result: {format_permutation(result)}", f"form: {form}"]
-    return _emit(args, payload, lines)
+    payload = {"result": result, "form": str(form)}
+    return _emit(args, payload, lambda: [f"result: {format_permutation(result)}", f"form: {form}"])
 
 
 def _cmd_ribbons(args: argparse.Namespace) -> int:
@@ -114,11 +98,8 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
         key = forgotten.class_key(parse_permutation(args.perm))
     _require(key.n <= SHAPE_CAP or args.force, f"n={key.n} beyond the expansion cap {SHAPE_CAP} (use --force)")
     expansion = qsym.ribbon_expansion(key)
-    payload = {
-        "key": key.to_json_dict(),
-        "compositions": [list(parts) for parts in sorted(expansion.compositions)],
-    }
-    lines = [str(expansion)]
+    payload = {"key": key.to_json_dict(), "compositions": sorted(expansion.compositions)}
+    total = None
     if args.vars is not None:
         num_vars = args.vars or key.n
         _require(num_vars <= key.n or args.force, f"M={num_vars} above n={key.n}; n variables fix the sum (use --force)")
@@ -129,22 +110,27 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
         total = expansion.evaluate(num_vars)
         payload["vars"] = num_vars
         payload["sum"] = total.to_json_dict()
-        lines.append(f"sum[m={num_vars}]: {total}")
+
+    def lines() -> Iterator[str]:
+        yield str(expansion)
+        if total is not None:
+            yield f"sum[m={total.num_vars}]: {total}"
+
     return _emit(args, payload, lines)
 
 
 def _cmd_phi(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
     image = qsym.foata(p)
-    payload = {"input": list(p), "result": list(image)}
-    return _emit(args, payload, [format_permutation(image)])
+    payload = {"input": p, "result": image}
+    return _emit(args, payload, lambda: [format_permutation(image)])
 
 
 def _cmd_ns(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
     image = qsym.ns_map(p)
-    payload = {"input": list(p), "result": list(image)}
-    return _emit(args, payload, [format_permutation(image)])
+    payload = {"input": p, "result": image}
+    return _emit(args, payload, lambda: [format_permutation(image)])
 
 
 def _cmd_commute(args: argparse.Namespace) -> int:
@@ -158,8 +144,9 @@ def _cmd_commute(args: argparse.Namespace) -> int:
         )
     commutes = words.commute_check(args.i, args.j, q)
     payload = {"i": args.i, "j": args.j, "alphabet": q, "commutes": commutes}
-    lines = [f"e_{args.i} e_{args.j} {'=' if commutes else '!='} e_{args.j} e_{args.i} over 1..{q}"]
-    return _emit(args, payload, lines)
+    return _emit(args, payload, lambda: [
+        f"e_{args.i} e_{args.j} {'=' if commutes else '!='} e_{args.j} e_{args.i} over 1..{q}"
+    ])
 
 
 def _cmd_confluence(args: argparse.Namespace) -> int:
@@ -172,18 +159,18 @@ def _cmd_confluence(args: argparse.Namespace) -> int:
     payload = {
         "alphabet": q,
         "maxLen": max_len,
-        "counterexamples": [
-            {"word": list(w), "endpoints": [list(e) for e in endpoints]}
-            for w, endpoints in found
-        ],
+        "counterexamples": [{"word": w, "endpoints": endpoints} for w, endpoints in found],
     }
-    if not found:
-        lines = [f"descending rewrites are confluent on all words of length <= {max_len} over 1..{q}"]
-    else:
-        lines = [f"{len(found)} counterexample(s) to descending-rewrite confluence (len <= {max_len}, q = {q}):"]
+
+    def lines() -> Iterator[str]:
+        if not found:
+            yield f"descending rewrites are confluent on all words of length <= {max_len} over 1..{q}"
+            return
+        yield f"{len(found)} counterexample(s) to descending-rewrite confluence (len <= {max_len}, q = {q}):"
         for w, endpoints in found:
             stalls = "  ".join("(" + ",".join(map(str, e)) + ")" for e in endpoints)
-            lines.append(f"  ({','.join(map(str, w))}) stalls at {stalls}")
+            yield f"  ({','.join(map(str, w))}) stalls at {stalls}"
+
     return _emit(args, payload, lines)
 
 
@@ -228,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("classes", _cmd_classes, "list every class of S_n with key and canonical word")
-    p.add_argument("--n", type=int, required=True, help="permutation size (sizes included up to n=9)")
+    p.add_argument("--n", type=int, required=True, help="permutation size, at most 50 without --force")
 
     p = add("class-of", _cmd_class_of, "key, canonical word, and full membership of one class")
     p.add_argument("perm", help="permutation, e.g. 12543 or 8,4,2,9,5,6,1,3,7")

@@ -13,6 +13,7 @@ sigma(k, a) and tau(k, a).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -217,12 +218,8 @@ def form_from_inversions(family: str, inv: int, n: int) -> CanonicalForm:
     raise AssertionError(f"no tau form for inv={inv}, n={n}")
 
 
-def sign_family(one_before_n: bool) -> str:
-    return "sigma" if one_before_n else "tau"
-
-
 def form_of_key(key: ClassKey) -> CanonicalForm:
-    return form_from_inversions(sign_family(key.one_before_n), key.inv, key.n)
+    return form_from_inversions("sigma" if key.one_before_n else "tau", key.inv, key.n)
 
 
 def canonical_of_key(key: ClassKey) -> Perm:
@@ -273,6 +270,63 @@ def all_class_keys(n: int) -> list[ClassKey]:
     keys = [ClassKey(n, i, True) for i in range(inv_bounds(n, True)[1] + 1)]
     keys += [ClassKey(n, i, False) for i in range(n - 1, inv_bounds(n, False)[1] + 1)]
     return sorted(keys, key=lambda k: (k.inv, not k.one_before_n))
+
+
+def class_members(key: ClassKey) -> list[Perm]:
+    """
+    Every member of the keyed class in lexicographic order, built letter by
+    letter as an inversion table: the c-th smallest unused letter (from 0)
+    adds c inversions, m letters hold at most C(m, 2), and the first of 1
+    and n placed fixes the sign.
+
+    >>> class_members(ClassKey(4, 1, True))
+    [(1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)]
+    """
+    n, want = key.n, key.one_before_n
+    members: list[Perm] = []
+    # (prefix, unused letters increasing, inversions owed, sign fixed); children
+    # go on the stack in reverse, so they pop in lexicographic order.  Until
+    # the sign is fixed, 1 and n are both unused: increasing puts 1 first.
+    stack = [((), tuple(range(1, n + 1)), key.inv, False)]
+    while stack:
+        prefix, unused, rem, signed = stack.pop()
+        m = len(unused)
+        if rem == 0:
+            if signed or want:
+                members.append(prefix + unused)
+        elif rem == m * (m - 1) // 2:
+            if signed or not want:
+                members.append(prefix + unused[::-1])
+        else:
+            for c in reversed(range(max(0, rem - (m - 1) * (m - 2) // 2), min(m - 1, rem) + 1)):
+                x = unused[c]
+                if signed or x not in (1, n) or (x == 1) == want:
+                    stack.append((prefix + (x,), unused[:c] + unused[c + 1:], rem - c, signed or x in (1, n)))
+    return members
+
+
+def class_sizes(n: int) -> dict[ClassKey, int]:
+    """
+    Every class size at size n, in closed form: with 1 and n at positions
+    a < b the other letters give [n-2]_q!, and the pair adds s = a - 1 + n - b
+    inversions (1 first) or 2n - 3 - s (n first), each in s + 1 ways.
+
+    >>> list(class_sizes(3).values())
+    [1, 2, 2, 1]
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
+    factorial = [1]  # coefficients of [n-2]_q!
+    for j in range(2, n - 1):
+        # times 1 + q + ... + q^(j-1): coefficient i sums a window of j
+        prefix, top = [0, *itertools.accumulate(factorial)], len(factorial)
+        factorial = [prefix[min(i + 1, top)] - prefix[max(0, i + 1 - j)] for i in range(top + j - 1)]
+    pad = 2 * n  # q^e sits at pad + e, with zeros around it
+    padded = [0] * pad + factorial + [0] * pad
+    return {
+        key: sum((s + 1) * padded[pad + key.inv - (s if key.one_before_n else 2 * n - 3 - s)] for s in range(n - 1))
+        for key in all_class_keys(n)
+    }
 
 
 def insert(w: Sequence[int], i: int) -> Perm:

@@ -162,7 +162,11 @@ def check_key_matches_closure(hi: int) -> Outcome:
             for members in key_classes:
                 if members not in set(classes):
                     return _fail(f"key class is not a closure class at n={n}", sorted(members)[0])
-    return f"key partition equals closure partition for n <= {hi}"
+        for members in classes:
+            listed = sorted(members)
+            if forgotten.class_members(class_key(listed[0])) != listed:
+                return _fail(f"class_members differs from the sorted closure class at n={n}", listed[0])
+    return f"key partition equals closure partition, and class_members lists each class, for n <= {hi}"
 
 
 @check("classes", 8)
@@ -173,8 +177,10 @@ def check_class_count(hi: int) -> Outcome:
         expected = forgotten.classes_count(n)
         if len(classes) != expected:
             return _fail(f"expected {expected} classes at n={n}, found {len(classes)}", n)
+        if forgotten.class_sizes(n) != {class_key(min(c)): len(c) for c in classes}:
+            return _fail(f"class_sizes differs from the closure class sizes at n={n}", n)
         counts.append(f"{n}:{len(classes)}")
-    return f"class counts {' '.join(counts)}"
+    return f"class counts {' '.join(counts)}; class_sizes equals the closure sizes"
 
 
 _TABLE_N2 = [{"12"}, {"21"}]

@@ -1,9 +1,10 @@
 import json
+import math
 import time
 
 import pytest
 
-from forgottenmonoid.cli import CLOSURE_CAP, SHAPE_CAP, main
+from forgottenmonoid.cli import CLOSURE_CAP, LISTING_CAP, SHAPE_CAP, main
 
 
 def run(capsys, *argv):
@@ -39,12 +40,12 @@ class TestCommands:
         sizes = [record["size"] for record in payload["classes"]]
         assert sum(sizes) == 24
 
-    def test_classes_large_n_drops_sizes(self, capsys):
+    def test_classes_large_n_has_sizes(self, capsys):
         code, out, _ = run(capsys, "classes", "--n", "12", "--json")
         payload = json.loads(out)
         assert code == 0
         assert len(payload["classes"]) == 112
-        assert all("size" not in record for record in payload["classes"])
+        assert sum(record["size"] for record in payload["classes"]) == math.factorial(12)
 
     def test_class_of(self, capsys):
         code, out, _ = run(capsys, "class-of", "12543")
@@ -202,6 +203,27 @@ class TestCaps:
         assert code == 0
         payload = json.loads(out)
         assert payload["vars"] == payload["key"]["n"] <= CLOSURE_CAP
+        assert elapsed < 1.0
+
+    def test_class_of_largest_class_at_closure_cap_within_a_second(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "class-of", "1,2,3,9,8,7,6,5,4", "--json")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["key"] == {"n": CLOSURE_CAP, "inv": 15, "oneBeforeN": True}
+        assert payload["size"] == len(payload["members"]) == 18126
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n", [9, LISTING_CAP])
+    def test_classes_with_sizes_within_a_second(self, capsys, n):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "classes", "--n", str(n), "--json")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        sizes = [record["size"] for record in json.loads(out)["classes"]]
+        assert len(sizes) == n * n - 3 * n + 4
+        assert sum(sizes) == math.factorial(n)
         assert elapsed < 1.0
 
 

@@ -1,9 +1,10 @@
 import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from forgottenmonoid.forgotten import (
     CanonicalForm,
@@ -14,6 +15,8 @@ from forgottenmonoid.forgotten import (
     canonical_of_key,
     canonical_word,
     class_key,
+    class_members,
+    class_sizes,
     classes_count,
     coforgotten_equivalent,
     equivalent,
@@ -384,3 +387,32 @@ class TestKeyListing:
         for n in range(2, 7):
             total = sum(len(word_closure(canonical_of_key(key))) for key in all_class_keys(n))
             assert total == math.factorial(n)
+
+
+class TestClosedFormClasses:
+    def test_members_are_the_sorted_closure(self):
+        for n in range(2, 9):
+            for key in all_class_keys(n):
+                assert class_members(key) == sorted(word_closure(canonical_of_key(key))), key
+
+    def test_sizes_match_scan_of_s_n(self):
+        for n in range(2, 9):
+            assert class_sizes(n) == Counter(class_key(p) for p in all_permutations(n)), n
+
+    def test_sizes_cover_every_key_and_sum_to_factorial(self):
+        for n in range(2, 51):
+            sizes = class_sizes(n)
+            assert list(sizes) == all_class_keys(n)
+            assert sum(sizes.values()) == math.factorial(n)
+
+    def test_sizes_need_n_at_least_2(self):
+        with pytest.raises(ValueError):
+            class_sizes(1)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.permutations(range(1, 10)))
+    def test_closure_at_n9_matches_members(self, p):
+        p = tuple(p)
+        members = class_members(class_key(p))
+        assert sorted(word_closure(p)) == members
+        assert members[0] == canonical_of(p)
