@@ -258,8 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: no action appends, and each parse_args call makes a fresh Namespace.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from operator import le, lt
+from operator import gt, le, lt
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -155,8 +155,7 @@ def reverse(word: Sequence[int]) -> Word:
 
 def complement(p: Sequence[int]) -> Perm:
     """Replace every letter x by n + 1 - x."""
-    n = len(p)
-    return tuple(n + 1 - x for x in p)
+    return tuple(map((len(p) + 1).__sub__, p))
 
 
 def schuetzenberger(p: Sequence[int]) -> Perm:
@@ -166,7 +165,7 @@ def schuetzenberger(p: Sequence[int]) -> Perm:
     >>> schuetzenberger((8, 4, 2, 9, 5, 6, 1, 3, 7))
     (3, 7, 9, 4, 5, 1, 8, 6, 2)
     """
-    return complement(reverse(p))
+    return tuple(map((len(p) + 1).__sub__, reversed(p)))
 
 
 def standardize(word: Sequence[int]) -> Perm:
@@ -194,9 +193,7 @@ def is_lambda_shaped(p: Sequence[int]) -> bool:
     if not p:
         raise ValueError("the empty word has no shape")
     peak = p.index(max(p))
-    left_ok = all(p[i] < p[i + 1] for i in range(peak))
-    right_ok = all(p[i] > p[i + 1] for i in range(peak, len(p) - 1))
-    return left_ok and right_ok
+    return all(map(lt, p[:peak], p[1:peak + 1])) and all(map(gt, p[peak:], p[peak + 1:]))
 
 
 def is_v_shaped(p: Sequence[int]) -> bool:
@@ -205,9 +202,7 @@ def is_v_shaped(p: Sequence[int]) -> bool:
     if not p:
         raise ValueError("the empty word has no shape")
     valley = p.index(min(p))
-    left_ok = all(p[i] > p[i + 1] for i in range(valley))
-    right_ok = all(p[i] < p[i + 1] for i in range(valley, len(p) - 1))
-    return left_ok and right_ok
+    return all(map(gt, p[:valley], p[1:valley + 1])) and all(map(lt, p[valley:], p[valley + 1:]))
 
 
 def avoids_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -247,6 +242,37 @@ def avoids_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
 def all_permutations(n: int) -> Iterator[Perm]:
     """All permutations of 1..n in lexicographic order."""
     return itertools.permutations(range(1, n + 1))
+
+
+def sweep(n: int) -> Iterator[tuple[Perm, int, bool]]:
+    """
+    Each p of all_permutations(n), in that order, with inversion_number(p)
+    and whether 1 comes before n; n must be at least 2.
+
+    Lexicographic order is that of the Lehmer codes, whose digit sum is inv
+    (Knuth, TAOCP vol. 3, 5.1.1): S_m's inversion numbers are S_(m-1)'s
+    shifted by each first digit 0..m-1 in turn.  1 comes before m in every p
+    starting with 1, in none starting with m, and otherwise as in S_(m-1).
+    Both are lists up to S_(n-1) and lazy chains at the top level.
+
+    >>> [inv for _, inv, _ in sweep(4)][:8]
+    [0, 1, 1, 2, 2, 3, 1, 2]
+    >>> next(q for q in sweep(3) if not q[2])
+    ((2, 3, 1), 2, False)
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    invs, signs = [0], [True]  # S_1; its sign is repeated m - 2 = 0 times
+    for m in range(2, n):
+        size = len(invs)
+        invs = [d + c for d in range(m) for c in invs]
+        signs = [True] * size + signs * (m - 2) + [False] * size
+    size = len(invs)
+    return zip(
+        all_permutations(n),
+        itertools.chain(*[map(d.__add__, invs) for d in range(n)]),
+        itertools.chain(itertools.repeat(True, size), *[signs] * (n - 2), itertools.repeat(False, size)),
+    )
 
 
 def all_compositions(n: int) -> Iterator[Composition]:

@@ -14,6 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import gt
 from typing import Iterable, Sequence
 
 from .forgotten import ClassKey, canonical_of_key, lambda_members, v_members
@@ -124,7 +125,9 @@ def fundamental_qsym(n: int, descents: Iterable[int], num_vars: int) -> Truncate
 
 def descent_histogram(perms: Iterable[Sequence[int]]) -> Counter[int]:
     """The multiset of descent sets of perms, each a bit mask with bit i - 1 for descent i."""
-    return Counter(sum(1 << (i - 1) for i in descent_set(p)) for p in perms)
+    perms = list(perms)
+    bits = [1 << i for i in range(max(map(len, perms), default=1) - 1)]
+    return Counter(sum(itertools.compress(bits, map(gt, p, p[1:]))) for p in perms)
 
 
 @lru_cache(maxsize=256)

@@ -38,6 +38,7 @@ from .perms import (
     reverse,
     schuetzenberger,
     standardize,
+    sweep,
 )
 
 
@@ -138,11 +139,10 @@ def closure_partition(n: int) -> tuple[dict[Perm, int], tuple[frozenset[Perm], .
 def check_move_soundness(hi: int) -> Outcome:
     moves = 0
     for n in range(2, hi + 1):
-        for p in all_permutations(n):
-            key = _key_pair(p)
+        for p, inv, one_first in sweep(n):
             for q in words.general_moves(p):
                 moves += 1
-                if _key_pair(q) != key:
+                if _key_pair(q) != (inv, one_first):
                     return _fail(f"a rewrite changed the class key at n={n}", (p, q))
     return f"{moves} rewrites preserve the key (n <= {hi})"
 
@@ -151,9 +151,9 @@ def check_move_soundness(hi: int) -> Outcome:
 def check_key_matches_closure(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         _, classes = closure_partition(n)
-        by_key: dict[ClassKey, set[Perm]] = {}
-        for p in all_permutations(n):
-            by_key.setdefault(class_key(p), set()).add(p)
+        by_key: dict[tuple[int, bool], set[Perm]] = {}
+        for p, inv, one_first in sweep(n):
+            by_key.setdefault((inv, one_first), set()).add(p)
         key_classes = {frozenset(v) for v in by_key.values()}
         if key_classes != set(classes):
             for members in classes:
@@ -227,7 +227,7 @@ def check_partition_totals(hi: int) -> Outcome:
         if total != math.factorial(n):
             return _fail(f"closure classes cover {total} of {math.factorial(n)} at n={n}", n)
     for n in range(2, hi + 1):
-        keys = {_key_pair(p) for p in all_permutations(n)}
+        keys = {(inv, one_first) for _, inv, one_first in sweep(n)}
         if len(keys) != forgotten.classes_count(n):
             return _fail(f"{len(keys)} distinct keys at n={n}", n)
     return f"classes partition S_n (n <= {min(hi, 7)}); key counts match for n <= {hi}"
@@ -259,8 +259,8 @@ def check_inverse_on_lex(hi: int) -> Outcome:
 @check("classes", 9)
 def check_schuetzenberger_key(hi: int) -> Outcome:
     for n in range(2, hi + 1):
-        for p in all_permutations(n):
-            if _key_pair(schuetzenberger(p)) != _key_pair(p):
+        for p, inv, one_first in sweep(n):
+            if _key_pair(schuetzenberger(p)) != (inv, one_first):
                 return _fail(f"involution changed the key at n={n}", p)
     return f"the involution preserves every class key (n <= {hi})"
 
@@ -439,17 +439,18 @@ def check_lambda_members_examples() -> Outcome:
 @check("canonical", 8)
 def check_lambda_v_membership(hi: int) -> Outcome:
     for n in range(2, hi + 1):
-        shaped_l: dict[ClassKey, set[Perm]] = {}
-        shaped_v: dict[ClassKey, set[Perm]] = {}
-        for p in all_permutations(n):
+        shaped_l: dict[tuple[int, bool], set[Perm]] = {}
+        shaped_v: dict[tuple[int, bool], set[Perm]] = {}
+        for p, inv, one_first in sweep(n):
             if is_lambda_shaped(p):
-                shaped_l.setdefault(class_key(p), set()).add(p)
+                shaped_l.setdefault((inv, one_first), set()).add(p)
             if is_v_shaped(p):
-                shaped_v.setdefault(class_key(p), set()).add(p)
+                shaped_v.setdefault((inv, one_first), set()).add(p)
         for key in forgotten.all_class_keys(n):
-            if forgotten.lambda_members(key) != shaped_l.get(key, set()):
+            pair = (key.inv, key.one_before_n)
+            if forgotten.lambda_members(key) != shaped_l.get(pair, set()):
                 return _fail(f"lambda_members disagrees with the scan at n={n}", key)
-            if forgotten.v_members(key) != shaped_v.get(key, set()):
+            if forgotten.v_members(key) != shaped_v.get(pair, set()):
                 return _fail(f"v_members disagrees with the scan at n={n}", key)
     return f"shape member enumerations match full scans (n <= {hi})"
 
@@ -741,11 +742,11 @@ def check_ns_image(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         sources: dict[tuple[int, bool], set[Perm]] = {}
         targets: dict[tuple[int, bool], set[Perm]] = {}
-        for p in all_permutations(n):
+        for p, inv, one_first in sweep(n):
             sources.setdefault(
                 (major_index(inverse(p)), p.index(n - 1) < p.index(n)), set()
             ).add(p)
-            targets.setdefault(_key_pair(p), set()).add(p)
+            targets.setdefault((inv, one_first), set()).add(p)
         for bucket, members in sources.items():
             image = {qsym.ns_map(p) for p in members}
             if image != targets.get(bucket, set()):

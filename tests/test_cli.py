@@ -116,6 +116,15 @@ class TestCommands:
         for check in payload["checks"]:
             assert isinstance(check["elapsed"], float) and check["elapsed"] >= 0
 
+    def test_consecutive_calls_keep_their_own_options(self, capsys):
+        # one parser serves every call: a --json call leaves nothing behind
+        code, out, _ = run(capsys, "classes", "--n", "3", "--json")
+        assert code == 0
+        assert len(json.loads(out)["classes"]) == 4
+        code, out, _ = run(capsys, "classes", "--n", "3")
+        assert code == 0
+        assert out.splitlines()[0] == "3,0,1n  canonical=1,2,3  size=1"
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):

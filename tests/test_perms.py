@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from forgottenmonoid import perms
 from forgottenmonoid.perms import (
     ParseError,
+    all_permutations,
     avoids_pattern,
     complement,
     composition_from_subset,
@@ -24,6 +25,7 @@ from forgottenmonoid.perms import (
     reverse,
     schuetzenberger,
     standardize,
+    sweep,
 )
 
 permutations = st.integers(1, 8).flatmap(
@@ -59,6 +61,41 @@ def scan_avoids(word, pattern):
         standardize(window) != tuple(pattern)
         for window in itertools.combinations(word, len(pattern))
     )
+
+
+# Literal references for the kernels written with map and slices.
+def ref_complement(p):
+    return tuple(len(p) + 1 - x for x in p)
+
+
+def ref_lambda_shaped(p):
+    peak = p.index(max(p))
+    return all(p[i] < p[i + 1] for i in range(peak)) and all(p[i] > p[i + 1] for i in range(peak, len(p) - 1))
+
+
+def ref_v_shaped(p):
+    valley = p.index(min(p))
+    return all(p[i] > p[i + 1] for i in range(valley)) and all(p[i] < p[i + 1] for i in range(valley, len(p) - 1))
+
+
+def small_perms(hi):
+    return (p for n in range(1, hi + 1) for p in all_permutations(n))
+
+
+def small_tied_words(hi):
+    return (w for length in range(1, hi + 1) for w in itertools.product(range(1, 4), repeat=length))
+
+
+class TestSweep:
+    def test_matches_a_recount_on_every_permutation(self):
+        for n in range(2, 9):
+            expected = [(p, inversion_number(p), p.index(1) < p.index(n)) for p in all_permutations(n)]
+            assert list(sweep(n)) == expected, n
+
+    def test_needs_two_letters(self):
+        for n in (1, 0, -1):
+            with pytest.raises(ValueError, match="n >= 2"):
+                sweep(n)
 
 
 class TestStatistics:
@@ -136,6 +173,11 @@ class TestSymmetries:
         assert schuetzenberger((8, 4, 2, 9, 5, 6, 1, 3, 7)) == (3, 7, 9, 4, 5, 1, 8, 6, 2)
         assert schuetzenberger(tuple(range(1, 8))) == tuple(range(1, 8))
 
+    def test_complement_and_involution_match_references(self):
+        for p in small_perms(7):
+            assert complement(p) == ref_complement(p)
+            assert schuetzenberger(p) == ref_complement(p[::-1])
+
     @given(permutations)
     def test_schuetzenberger_involution(self, p):
         assert schuetzenberger(schuetzenberger(p)) == p
@@ -187,6 +229,11 @@ class TestShapes:
         for predicate in (is_lambda_shaped, is_v_shaped):
             with pytest.raises(ValueError, match="empty word"):
                 predicate(())
+
+    def test_match_references_on_permutations_and_tied_words(self):
+        for w in itertools.chain(small_perms(7), small_tied_words(5)):
+            assert is_lambda_shaped(w) == ref_lambda_shaped(w), w
+            assert is_v_shaped(w) == ref_v_shaped(w), w
 
     def test_shapes_swap_under_complement(self):
         for p in itertools.permutations(range(1, 6)):

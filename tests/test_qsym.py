@@ -138,6 +138,15 @@ class TestMonomialCoefficients:
                 }
                 assert monomial_coefficients(descent_histogram([p]), n) == expected, p
 
+    def test_descent_histogram_matches_descent_set_masks(self):
+        def masks(perms):
+            return Counter(sum(1 << (i - 1) for i in descent_set(p)) for p in perms)
+
+        for n in range(1, 8):
+            assert descent_histogram(all_permutations(n)) == masks(all_permutations(n)), n
+        mixed = [(2, 1), (1, 3, 2), (3, 1, 2), (4, 1, 3, 2)]
+        assert descent_histogram(iter(mixed)) == masks(mixed)
+
 
 class TestFoata:
     def test_examples(self):
