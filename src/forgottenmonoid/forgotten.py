@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .perms import (
+    DECIMAL,
     Perm,
     ParseError,
     avoids_pattern,
@@ -26,6 +29,7 @@ from .perms import (
     inverse,
     inversion_number,
     is_lambda_shaped,
+    sweep,
 )
 
 FORBIDDEN_PATTERNS: tuple[Perm, ...] = (
@@ -79,15 +83,12 @@ class ClassKey:
 
 
 def parse_class_key(text: str) -> ClassKey:
-    """Read a key from its "n,inv,1n" / "n,inv,n1" text form."""
-    fields = text.strip().split(",")
-    if len(fields) != 3 or fields[2] not in ("1n", "n1"):
+    """Read a key from its "n,inv,1n" / "n,inv,n1" text form, with the
+    integers of parse_permutation."""
+    match = re.fullmatch(f"({DECIMAL}),({DECIMAL}),(1n|n1)", text, re.ASCII)
+    if not match:
         raise ParseError(f"cannot read class key from {text!r} (want e.g. 8,10,n1)")
-    try:
-        n, inv = int(fields[0]), int(fields[1])
-    except ValueError as exc:
-        raise ParseError(f"cannot read class key from {text!r}") from exc
-    return ClassKey(n, inv, fields[2] == "1n")
+    return ClassKey(int(match[1]), int(match[2]), match[3] == "1n")
 
 
 def _key_pair(p: Perm) -> tuple[int, bool]:
@@ -279,10 +280,24 @@ def class_members(key: ClassKey) -> list[Perm]:
     adds c inversions, m letters hold at most C(m, 2), and the first of 1
     and n placed fixes the sign.
 
+    The walk stops with t = min(5, n) letters left.  Their inversions depend
+    only on their rank order, and so does the sign while 1 and n (ranks 0
+    and t-1) are both unused, so a table built per call from sweep(t) maps
+    (inversions left, sign or None once fixed) to the arrangements of S_t in
+    lexicographic order, each as an itemgetter over the unused letters.  A
+    leaf costs one call and one tuple concatenation per member; the table
+    costs t! <= 120 itemgetters per call and holds no state between calls.
+
     >>> class_members(ClassKey(4, 1, True))
     [(1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)]
     """
     n, want = key.n, key.one_before_n
+    t = min(5, n)
+    tails: dict[tuple[int, bool | None], list[itemgetter]] = {}
+    for p, inv, one_first in sweep(t):
+        get = itemgetter(*p)  # 1-based, over the unused letters after a pad
+        tails.setdefault((inv, one_first), []).append(get)
+        tails.setdefault((inv, None), []).append(get)
     members: list[Perm] = []
     # (prefix, unused letters increasing, inversions owed, sign fixed); children
     # go on the stack in reverse, so they pop in lexicographic order.  Until
@@ -291,17 +306,14 @@ def class_members(key: ClassKey) -> list[Perm]:
     while stack:
         prefix, unused, rem, signed = stack.pop()
         m = len(unused)
-        if rem == 0:
-            if signed or want:
-                members.append(prefix + unused)
-        elif rem == m * (m - 1) // 2:
-            if signed or not want:
-                members.append(prefix + unused[::-1])
-        else:
-            for c in reversed(range(max(0, rem - (m - 1) * (m - 2) // 2), min(m - 1, rem) + 1)):
-                x = unused[c]
-                if signed or x not in (1, n) or (x == 1) == want:
-                    stack.append((prefix + (x,), unused[:c] + unused[c + 1:], rem - c, signed or x in (1, n)))
+        if m == t:
+            tail = (0,) + unused
+            members += [prefix + get(tail) for get in tails.get((rem, None if signed else want), ())]
+            continue
+        for c in reversed(range(max(0, rem - (m - 1) * (m - 2) // 2), min(m - 1, rem) + 1)):
+            x = unused[c]
+            if signed or x not in (1, n) or (x == 1) == want:
+                stack.append((prefix + (x,), unused[:c] + unused[c + 1:], rem - c, signed or x in (1, n)))
     return members
 
 

@@ -17,6 +17,7 @@ Everything here is a pure function over immutable tuples.
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left
 from operator import gt, le, lt
 from typing import Iterator, Sequence
@@ -282,22 +283,21 @@ def all_compositions(n: int) -> Iterator[Composition]:
             yield composition_from_subset(set(cuts), n)
 
 
+DECIMAL = "[0-9]+"  # the one integer rule of every text form: ASCII digits only
+
+
 def parse_permutation(text: str) -> Perm:
     """
     Read a permutation from text: either a comma list ("8,4,2,9,5,6,1,3,7")
-    or, for n <= 9, a contiguous digit string ("3142").
+    or, for n <= 9, a contiguous digit string ("3142"), with no sign,
+    underscore, whitespace or non-ASCII digit.
     """
-    text = text.strip()
-    try:
-        if "," in text:
-            values = [int(field) for field in text.split(",")]
-        elif text.isdigit():
-            values = [int(ch) for ch in text]
-        else:
-            raise ValueError(text)
-        return check_permutation(values)
-    except ValueError as exc:
-        raise ParseError(f"cannot read permutation from {text!r}") from exc
+    if re.fullmatch(f"{DECIMAL}(,{DECIMAL})*", text, re.ASCII):
+        try:
+            return check_permutation(map(int, text.split(",") if "," in text else text))
+        except ValueError:
+            pass
+    raise ParseError(f"cannot read permutation from {text!r}")
 
 
 def format_permutation(p: Sequence[int]) -> str:

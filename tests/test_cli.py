@@ -154,6 +154,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "canonical", "--key", "5,3")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("class-of", "\u0661\u0662"),
+        ("class-of", "+2,1"),
+        ("class-of", " 2 , 1 "),
+        ("canonical", "--key", "8,1_0,n1"),
+        ("canonical", "--key", "\uff18,10,n1"),
+    ])
+    def test_non_ascii_decimal_text_is_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error")
+
     @pytest.mark.parametrize("max_n", ["-3", "2"])
     def test_verify_bound_below_3_is_domain_error(self, capsys, max_n):
         code, out, err = run(capsys, "verify", "all", "--max-n", max_n)

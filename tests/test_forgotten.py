@@ -119,6 +119,15 @@ class TestClassKey:
         with pytest.raises(ParseError):
             parse_class_key("8,10,yes")
 
+    @pytest.mark.parametrize("bad", ["8,1_0,n1", "\uff18,10,n1", "+8,10,n1", " 8,10,n1", "8, 10,n1", "8,10,n1\n", "8,\u0661\u0660,n1"])
+    def test_key_text_is_ascii_decimals_only(self, bad):
+        with pytest.raises(ParseError):
+            parse_class_key(bad)
+
+    @given(st.integers(2, 60).flatmap(lambda n: st.sampled_from(all_class_keys(n))))
+    def test_key_text_round_trip(self, key):
+        assert parse_class_key(str(key)) == key
+
     def test_json_decoding_is_type_strict(self):
         for key in (ClassKey(5, 4, True), ClassKey(5, 4, False), ClassKey(2, 1, False)):
             assert ClassKey.from_json_dict(key.to_json_dict()) == key
@@ -416,3 +425,10 @@ class TestClosedFormClasses:
         members = class_members(class_key(p))
         assert sorted(word_closure(p)) == members
         assert members[0] == canonical_of(p)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.permutations(range(1, 11)))
+    def test_closure_at_n10_matches_members(self, p):
+        # at n = 10 the walk places five letters before it reads the tail table
+        p = tuple(p)
+        assert sorted(word_closure(p)) == class_members(class_key(p))

@@ -294,6 +294,17 @@ class TestTextForms:
             with pytest.raises(ParseError):
                 parse_permutation(bad)
 
+    @pytest.mark.parametrize("bad", ["\u0661\u0662", "+2,1", " 2 , 1 ", "2,1 ", "1_0,9,8,7,6,5,4,3,2,1", "\uff12\uff11", "2,,1", "2,1,"])
+    def test_parse_accepts_ascii_decimals_only(self, bad):
+        with pytest.raises(ParseError):
+            parse_permutation(bad)
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))), st.booleans())
+    def test_parse_format_round_trip(self, p, digit_string):
+        p = tuple(p)
+        text = "".join(map(str, p)) if digit_string and len(p) <= 9 else format_permutation(p)
+        assert parse_permutation(text) == p
+
     def test_composition_text(self):
         assert format_composition((1, 1, 3)) == "(1,1,3)"
 
