@@ -1,7 +1,8 @@
 """Forgotten-monoid combinatorics: rewriting classes on permutations and
 words, canonical elements, the insertion algorithm, commutation of
 noncommutative elementary symmetric functions in the quotient, and ribbon
-expansions of quasi-symmetric class sums."""
+expansions of quasi-symmetric class sums, evaluated as plain maps from
+exponent vectors to coefficients."""
 
 from .forgotten import (
     CanonicalForm,
@@ -50,23 +51,16 @@ from .perms import (
 )
 from .qsym import (
     RibbonSum,
-    TruncatedPolynomial,
-    class_qsym_sum,
     compositions_with_maj,
     foata,
-    fundamental_qsym,
     ns_map,
     ribbon_expansion,
-    ribbon_schur,
 )
 from .words import (
-    NCPolynomial,
     commute_check,
     descent_endpoints,
-    elementary_e,
     general_moves,
     orientation_counterexamples,
-    reduce_poly,
     word_closure,
     word_normal_form,
 )

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import forgotten, qsym, verify, words
-from .perms import ParseError, format_permutation, parse_permutation
+from .perms import DECIMAL, ParseError, format_permutation, parse_permutation
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -27,6 +28,13 @@ LISTING_CAP = 50
 SHAPE_CAP = 20
 COMMUTE_ALPHABET_CAP = 5
 COMMUTE_DEGREE_CAP = 8
+
+
+def integer(text: str) -> int:
+    """An integer option: ASCII decimal digits after an optional minus sign."""
+    if not re.fullmatch(f"-?{DECIMAL}", text, re.ASCII):
+        raise ValueError(text)
+    return int(text)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -109,12 +117,20 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
         )
         total = expansion.evaluate(num_vars)
         payload["vars"] = num_vars
-        payload["sum"] = total.to_json_dict()
+        payload["sum"] = {"m": num_vars, "degree": key.n, "terms": [
+            {"exp": list(exponents), "coeff": total[exponents]} for exponents in sorted(total)
+        ]}
 
     def lines() -> Iterator[str]:
         yield str(expansion)
         if total is not None:
-            yield f"sum[m={total.num_vars}]: {total}"
+            terms = " ".join(
+                f"{total[exponents]:+d}*" + "*".join(
+                    f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exponents, 1) if e
+                )
+                for exponents in sorted(total, reverse=True)
+            )
+            yield f"sum[m={num_vars}]: {terms or 0}"
 
     return _emit(args, payload, lines)
 
@@ -215,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("classes", _cmd_classes, "list every class of S_n with key and canonical word")
-    p.add_argument("--n", type=int, required=True, help="permutation size, at most 50 without --force")
+    p.add_argument("--n", type=integer, required=True, help="permutation size, at most 50 without --force")
 
     p = add("class-of", _cmd_class_of, "key, canonical word, and full membership of one class")
     p.add_argument("perm", help="permutation, e.g. 12543 or 8,4,2,9,5,6,1,3,7")
@@ -225,13 +241,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("insert", _cmd_insert, "insert a letter into a canonical word")
     p.add_argument("word", help="canonical word of size n-1")
-    p.add_argument("letter", type=int, help="letter in 0..n-1")
+    p.add_argument("letter", type=integer, help="letter in 0..n-1")
 
     p = add("ribbons", _cmd_ribbons, "ribbon expansion of a class")
     p.add_argument("--key", help="class key, e.g. 8,10,n1")
     p.add_argument("--perm", help="any member of the class")
     p.add_argument(
-        "--vars", type=int, nargs="?", const=0, default=None, metavar="M",
+        "--vars", type=integer, nargs="?", const=0, default=None, metavar="M",
         help="also evaluate the ribbon sum in M <= n variables (omit M or give 0 to use n)",
     )
 
@@ -242,18 +258,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
 
     p = add("commute", _cmd_commute, "check e_i e_j = e_j e_i in the quotient")
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
-    p.add_argument("--alphabet", type=int, default=3, help="alphabet size (default 3)")
+    p.add_argument("i", type=integer)
+    p.add_argument("j", type=integer)
+    p.add_argument("--alphabet", type=integer, default=3, help="alphabet size (default 3)")
 
     p = add("confluence", _cmd_confluence, "look for counterexamples to descending-rewrite confluence")
-    p.add_argument("--alphabet", type=int, default=3, help="alphabet size (default 3)")
-    p.add_argument("--max-len", type=int, default=5, help="longest word to scan (default 5)")
-    p.add_argument("--limit", type=int, default=5, help="stop after this many counterexamples (default 5)")
+    p.add_argument("--alphabet", type=integer, default=3, help="alphabet size (default 3)")
+    p.add_argument("--max-len", type=integer, default=5, help="longest word to scan (default 5)")
+    p.add_argument("--limit", type=integer, default=5, help="stop after this many counterexamples (default 5)")
 
     p = add("verify", _cmd_verify, "run an exhaustive verification suite")
     p.add_argument("suite", choices=sorted(verify.SUITES), help="which suite to run")
-    p.add_argument("--max-n", type=int, default=None, help="cap the sweep size (clamped to suite defaults unless --force)")
+    p.add_argument("--max-n", type=integer, default=None, help="cap the sweep size (clamped to suite defaults unless --force)")
 
     return parser
 

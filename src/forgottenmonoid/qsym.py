@@ -1,11 +1,11 @@
 """
-Quasi-symmetric functions truncated to finitely many variables, ribbon Schur
-functions, the Foata transform, and the ribbon expansion of forgotten-class
-sums.
+Sums of ribbon Schur functions, the Foata transform, and the ribbon
+expansion of forgotten-class sums.
 
 A sum of fundamentals F_D is kept as its histogram of descent sets D, which
-fixes it since the F_D are a basis; it becomes a polynomial only for output,
-in n variables by default, which determine a degree-n function.
+fixes it since the F_D are a basis.  Only for output is it evaluated in
+finitely many variables (n by default, which determine a degree-n function),
+as a plain map from exponent vectors to nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -17,76 +17,31 @@ from functools import lru_cache
 from operator import gt
 from typing import Iterable, Sequence
 
-from .forgotten import ClassKey, canonical_of_key, lambda_members, v_members
+from .forgotten import ClassKey, lambda_members, v_members
 from .perms import (
     Composition,
     check_composition,
     composition_from_subset,
-    descent_set,
     inverse,
     recoil_composition,
     reverse,
 )
-from .words import word_closure
-
-
-class TruncatedPolynomial:
-    """
-    Homogeneous integer polynomial in a fixed number of commuting variables,
-    stored sparsely by exponent vector.  Instances are treated as immutable.
-    """
-
-    __slots__ = ("num_vars", "degree", "terms")
-
-    def __init__(self, num_vars: int, degree: int, terms: dict[tuple[int, ...], int] | None = None):
-        if num_vars < 1:
-            raise ValueError(f"need at least one variable, got {num_vars}")
-        self.num_vars = num_vars
-        self.degree = degree
-        clean: dict[tuple[int, ...], int] = {}
-        for exponents, coeff in (terms or {}).items():
-            if not coeff:
-                continue
-            if len(exponents) != num_vars or sum(exponents) != degree:
-                raise ValueError(f"bad exponent vector {exponents!r} for m={num_vars}, degree={degree}")
-            clean[tuple(exponents)] = coeff
-        self.terms = clean
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        return (self.num_vars, self.degree, self.terms) == (other.num_vars, other.degree, other.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exponents in sorted(self.terms, reverse=True):
-            coeff = self.terms[exponents]
-            monomial = "*".join(
-                f"x{i}" if e == 1 else f"x{i}^{e}"
-                for i, e in enumerate(exponents, 1)
-                if e
-            )
-            pieces.append(f"{coeff:+d}*{monomial}" if monomial else f"{coeff:+d}")
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"TruncatedPolynomial(m={self.num_vars}, degree={self.degree}, {len(self.terms)} terms)"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.num_vars,
-            "degree": self.degree,
-            "terms": [
-                {"exp": list(exponents), "coeff": self.terms[exponents]}
-                for exponents in sorted(self.terms)
-            ],
-        }
 
 
 @lru_cache(maxsize=None)
-def _fundamental(n: int, descents: frozenset[int], num_vars: int) -> TruncatedPolynomial:
+def _fundamental(n: int, descents: frozenset[int], num_vars: int) -> Counter[tuple[int, ...]]:
+    """
+    Gessel's fundamental F_D in num_vars variables, as its monomials'
+    exponent vectors: one per weakly increasing index sequence that
+    increases strictly at every position of D.  ``verify`` sums these over
+    BFS classes as an oracle for ``RibbonSum.evaluate`` that shares nothing
+    with the histogram path.  Do not mutate.
+
+    >>> sorted(_fundamental(2, frozenset(), 2).items())
+    [((0, 2), 1), ((1, 1), 1), ((2, 0), 1)]
+    >>> _fundamental(2, frozenset({1}), 2)
+    Counter({(1, 1): 1})
+    """
     counts: Counter[tuple[int, ...]] = Counter()
     exponents = [0] * num_vars
 
@@ -100,27 +55,7 @@ def _fundamental(n: int, descents: frozenset[int], num_vars: int) -> TruncatedPo
             exponents[value - 1] -= 1
 
     extend(1, 1)
-    return TruncatedPolynomial(num_vars, n, dict(counts))
-
-
-def fundamental_qsym(n: int, descents: Iterable[int], num_vars: int) -> TruncatedPolynomial:
-    """
-    Gessel's fundamental quasi-symmetric function: the sum of monomials
-    x_{i_1} .. x_{i_n} over weakly increasing index sequences that increase
-    strictly at every position of the descent set, truncated to num_vars
-    variables.
-
-    >>> sorted(fundamental_qsym(2, set(), 2).terms)
-    [(0, 2), (1, 1), (2, 0)]
-    >>> fundamental_qsym(2, {1}, 2).terms
-    {(1, 1): 1}
-    """
-    descents = frozenset(descents)
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    if any(not 1 <= d <= n - 1 for d in descents):
-        raise ValueError(f"descents {sorted(descents)} not contained in 1..{n - 1}")
-    return _fundamental(n, descents, num_vars)
+    return counts
 
 
 def descent_histogram(perms: Iterable[Sequence[int]]) -> Counter[int]:
@@ -171,12 +106,6 @@ def monomial_coefficients(histogram: Counter[int], n: int) -> dict[Composition, 
         composition_from_subset({i + 1 for i in range(n - 1) if mask >> i & 1}, n): count
         for mask, count in enumerate(counts)
     }
-
-
-def ribbon_schur(parts: Sequence[int], num_vars: int) -> TruncatedPolynomial:
-    """The ribbon Schur function of a composition in num_vars variables."""
-    parts = check_composition(parts)
-    return RibbonSum(sum(parts), frozenset({parts})).evaluate(num_vars)
 
 
 def foata(p: Sequence[int]) -> tuple[int, ...]:
@@ -276,8 +205,14 @@ class RibbonSum:
             raise ValueError(f"not all compositions of {self.n}: {sorted(self.compositions)}")
         return sum((_ribbons_by_recoil(parts) for parts in self.compositions), Counter())
 
-    def evaluate(self, num_vars: int) -> TruncatedPolynomial:
-        """The sum in num_vars variables: x^e takes the M coefficient at e's nonzero parts."""
+    def evaluate(self, num_vars: int) -> dict[tuple[int, ...], int]:
+        """
+        The sum in num_vars variables, as its nonzero coefficients by exponent
+        vector: x^e takes the M coefficient at e's nonzero parts.
+
+        >>> RibbonSum(3, frozenset({(1, 2)})).evaluate(2)
+        {(1, 2): 1, (2, 1): 1}
+        """
         if num_vars < 1:
             raise ValueError(f"need at least one variable, got {num_vars}")
         coefficients = monomial_coefficients(self.histogram(), self.n)
@@ -285,8 +220,10 @@ class RibbonSum:
         for bars in itertools.combinations(range(self.n + num_vars - 1), num_vars - 1):
             marks = (-1, *bars, self.n + num_vars - 1)
             exponents = tuple(b - a - 1 for a, b in zip(marks, marks[1:]))
-            terms[exponents] = coefficients[tuple(e for e in exponents if e)]
-        return TruncatedPolynomial(num_vars, self.n, terms)
+            coeff = coefficients[tuple(e for e in exponents if e)]
+            if coeff:
+                terms[exponents] = coeff
+        return terms
 
 
 def expansion_by_lambda(key: ClassKey) -> set[Composition]:
@@ -311,12 +248,3 @@ def ribbon_expansion(key: ClassKey) -> RibbonSum:
         for parts in compositions_with_maj(key.n, key.inv)
         if (parts[-1] == 1) != key.one_before_n
     ))
-
-
-def class_qsym_sum(key: ClassKey, num_vars: int) -> TruncatedPolynomial:
-    """Sum of fundamental quasi-symmetric functions over the keyed class."""
-    total: Counter[tuple[int, ...]] = Counter()
-    for member in word_closure(canonical_of_key(key)):
-        poly = fundamental_qsym(key.n, frozenset(descent_set(member)), num_vars)
-        total.update(poly.terms)
-    return TruncatedPolynomial(num_vars, key.n, dict(total))

@@ -1,7 +1,7 @@
 """
 The general rewriting relations on words with repeated letters, normal forms
-by exhaustive closure, and noncommutative polynomials over a finite ordered
-alphabet.
+by exhaustive closure, and the commutation of the noncommutative elementary
+symmetric functions e_k in the quotient.
 
 The four window rules (a < b < c throughout) are
 
@@ -16,10 +16,10 @@ is cheap to compute at the word lengths used here.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from typing import Sequence
 
-from .perms import Word, check_word
+from .perms import Word
 
 _normal_form_cache: dict[Word, Word] = {}
 
@@ -97,120 +97,25 @@ def word_normal_form(w: Sequence[int]) -> Word:
     return normal
 
 
-class NCPolynomial:
-    """
-    Integer combination of words over the alphabet 1..alphabet_size, with
-    word concatenation as the (noncommutative) product.  Instances are
-    treated as immutable; arithmetic returns new objects.
-    """
-
-    __slots__ = ("alphabet_size", "terms")
-
-    def __init__(self, alphabet_size: int, terms: dict[Word, int] | None = None):
-        if alphabet_size < 1:
-            raise ValueError(f"alphabet size must be positive, got {alphabet_size}")
-        self.alphabet_size = alphabet_size
-        clean: dict[Word, int] = {}
-        for word, coeff in (terms or {}).items():
-            if coeff:
-                clean[check_word(word, alphabet_size)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, alphabet_size: int) -> "NCPolynomial":
-        return cls(alphabet_size)
-
-    @classmethod
-    def monomial(cls, alphabet_size: int, word: Sequence[int], coeff: int = 1) -> "NCPolynomial":
-        return cls(alphabet_size, {tuple(word): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check_compatible(self, other: "NCPolynomial") -> None:
-        if self.alphabet_size != other.alphabet_size:
-            raise ValueError(
-                f"alphabet mismatch: {self.alphabet_size} vs {other.alphabet_size}"
-            )
-
-    def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            terms[word] = terms.get(word, 0) + coeff
-        return NCPolynomial(self.alphabet_size, terms)
-
-    def __neg__(self) -> "NCPolynomial":
-        return NCPolynomial(self.alphabet_size, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":
-        self._check_compatible(other)
-        terms: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                terms[word] = terms.get(word, 0) + c1 * c2
-        return NCPolynomial(self.alphabet_size, terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        return self.alphabet_size == other.alphabet_size and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet_size, frozenset(self.terms.items())))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for word in sorted(self.terms):
-            coeff = self.terms[word]
-            pieces.append(f"{coeff:+d}*({','.join(map(str, word))})")
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"NCPolynomial(q={self.alphabet_size}, {self})"
-
-
-def elementary_e(k: int, alphabet_size: int) -> NCPolynomial:
-    """
-    The noncommutative elementary symmetric function: the sum of all strictly
-    decreasing words of length k over 1..alphabet_size.
-
-    >>> str(elementary_e(2, 3))
-    '+1*(2,1) +1*(3,1) +1*(3,2)'
-    """
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
-    if k > alphabet_size:
-        return NCPolynomial.zero(alphabet_size)
-    terms = {
-        tuple(reversed(combo)): 1
-        for combo in itertools.combinations(range(1, alphabet_size + 1), k)
-    }
-    return NCPolynomial(alphabet_size, terms)
-
-
-def reduce_poly(p: NCPolynomial) -> NCPolynomial:
-    """Image of p in the quotient: each word replaced by its normal form."""
-    terms: dict[Word, int] = {}
-    for word, coeff in p.terms.items():
-        normal = word_normal_form(word)
-        terms[normal] = terms.get(normal, 0) + coeff
-    return NCPolynomial(p.alphabet_size, terms)
-
-
 def commute_check(i: int, j: int, alphabet_size: int) -> bool:
-    """True iff e_i and e_j commute in the quotient over 1..alphabet_size."""
+    """
+    True iff e_i and e_j commute in the quotient over 1..alphabet_size, e_k
+    being the sum of the strictly decreasing words of length k.  A word of
+    e_i e_j splits into its two factors one way only, so both products are
+    0-1 sums of words, compared here as the normal forms of the words they
+    do not share.
+    """
     if i < 1 or j < 1:
         raise ValueError(f"degrees must be positive, got ({i}, {j})")
-    ei = elementary_e(i, alphabet_size)
-    ej = elementary_e(j, alphabet_size)
-    return reduce_poly(ei * ej - ej * ei).is_zero()
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet size must be positive, got {alphabet_size}")
+    alphabet = range(alphabet_size, 0, -1)
+    e_i = list(itertools.combinations(alphabet, i))
+    e_j = list(itertools.combinations(alphabet, j))
+    ij = {u + v for u in e_i for v in e_j}
+    ji = {v + u for u in e_i for v in e_j}
+    shared = ij & ji
+    return Counter(map(word_normal_form, ij - shared)) == Counter(map(word_normal_form, ji - shared))
 
 
 def descent_endpoints(w: Sequence[int]) -> set[Word]:

@@ -2,9 +2,14 @@ import json
 import math
 import time
 
+from collections import Counter
+
 import pytest
 
+from forgottenmonoid import qsym
 from forgottenmonoid.cli import CLOSURE_CAP, LISTING_CAP, SHAPE_CAP, main
+from forgottenmonoid.perms import descent_set
+from forgottenmonoid.words import word_closure
 
 
 def run(capsys, *argv):
@@ -76,14 +81,34 @@ class TestCommands:
         assert out.strip() == "r[1,1,3] + r[3,2]"
 
     def test_ribbons_with_vars_matches_class_sum(self, capsys):
-        from forgottenmonoid.forgotten import ClassKey
-        from forgottenmonoid.qsym import class_qsym_sum
-
+        # the sum of F_D over the BFS class of 12543, by _fundamental
+        total = Counter()
+        for member in word_closure((1, 2, 5, 4, 3)):
+            total.update(qsym._fundamental(5, frozenset(descent_set(member)), 5))
         code, out, _ = run(capsys, "ribbons", "--key", "5,3,1n", "--vars", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["vars"] == 5
-        assert payload["sum"] == class_qsym_sum(ClassKey(5, 3, True), 5).to_json_dict()
+        assert payload["sum"] == {"m": 5, "degree": 5, "terms": [
+            {"exp": list(exponents), "coeff": total[exponents]} for exponents in sorted(total)
+        ]}
+
+    def test_ribbons_sum_text_and_json(self, capsys):
+        code, out, _ = run(capsys, "ribbons", "--key", "3,1,1n", "--vars", "2")
+        assert (code, out) == (0, "r[1,2]\nsum[m=2]: +1*x1^2*x2 +1*x1*x2^2\n")
+        code, out, _ = run(capsys, "ribbons", "--key", "3,1,1n", "--vars", "2", "--json")
+        assert code == 0
+        # the zero coefficients at (3, 0) and (0, 3) are left out
+        assert json.loads(out)["sum"] == {"m": 2, "degree": 3, "terms": [
+            {"exp": [1, 2], "coeff": 1}, {"exp": [2, 1], "coeff": 1},
+        ]}
+
+    def test_ribbons_zero_sum_text_and_json(self, capsys):
+        code, out, _ = run(capsys, "ribbons", "--key", "3,3,n1", "--vars", "1")
+        assert (code, out) == (0, "r[1,1,1]\nsum[m=1]: 0\n")
+        code, out, _ = run(capsys, "ribbons", "--key", "3,3,n1", "--vars", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["sum"] == {"m": 1, "degree": 3, "terms": []}
 
     def test_ribbons_requires_one_input(self, capsys):
         code, _, err = run(capsys, "ribbons")
@@ -199,6 +224,21 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "domain error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("classes", "--n", "\u0663"),
+        ("insert", "1,2", " +0"),
+        ("commute", "1", "+2"),
+        ("ribbons", "--key", "5,3,1n", "--vars", " 1_0"),
+        ("verify", "classes", "--max-n", "\uff14"),
+    ])
+    def test_integer_option_beyond_ascii_decimal_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid integer value" in captured.err
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -1,16 +1,17 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 
+from forgottenmonoid import words
+from forgottenmonoid.cli import main
 from forgottenmonoid.perms import inversion_number, standardize
 from forgottenmonoid.words import (
-    NCPolynomial,
     commute_check,
     descent_endpoints,
-    elementary_e,
     general_moves,
     orientation_counterexamples,
-    reduce_poly,
     word_closure,
     word_normal_form,
 )
@@ -71,76 +72,116 @@ class TestClosure:
                 assert sorted(u) == sorted(w)
 
 
-class TestNCPolynomial:
-    def test_zero_and_unit(self):
-        zero = NCPolynomial.zero(2)
-        assert zero.is_zero()
-        unit = NCPolynomial.monomial(2, ())
-        p = elementary_e(1, 2)
-        assert unit * p == p == p * unit
+def elementary(k, q):
+    """e_k over 1..q, as its strictly decreasing words of length k."""
+    return [tuple(reversed(combo)) for combo in itertools.combinations(range(1, q + 1), k)]
 
-    def test_zero_coefficients_pruned(self):
-        p = NCPolynomial(2, {(1,): 1}) - NCPolynomial(2, {(1,): 1})
-        assert p.is_zero() and p.terms == {}
+
+def product(first, second):
+    return Counter(u + v for u in first for v in second)
+
+
+def brute_commutes(i, j, q):
+    """commute_check from the full products, each word reduced by an uncached closure."""
+    def reduced(a, b):
+        return Counter(min(word_closure(w)) for w in product(elementary(a, q), elementary(b, q)).elements())
+    return reduced(i, j) == reduced(j, i)
+
+
+def identity(w):
+    return tuple(w)
+
+
+def unreachable(w):
+    raise AssertionError(f"normal form of {w} requested")
+
+
+class TestNCPolynomial:
+    """e_i e_j and e_j e_i as the 0-1 word sums that commute_check compares."""
+
+    def test_zero_and_unit(self, monkeypatch):
+        # e_k = 0 for k > q, and 0 commutes with everything
+        monkeypatch.setattr(words, "word_normal_form", identity)
+        assert commute_check(4, 1, 3) and commute_check(1, 4, 3)
+
+    def test_zero_coefficients_pruned(self, monkeypatch):
+        # words both products share cancel before any normal form is taken
+        monkeypatch.setattr(words, "word_normal_form", unreachable)
+        for q in range(1, 5):
+            for i in range(1, 4):
+                assert commute_check(i, i, q)
 
     def test_alphabet_checks(self):
-        with pytest.raises(ValueError):
-            NCPolynomial(2, {(3,): 1})
-        with pytest.raises(ValueError):
-            elementary_e(1, 2) + elementary_e(1, 3)
+        for q in (0, -1):
+            with pytest.raises(ValueError):
+                commute_check(1, 2, q)
 
     def test_product_expansion(self):
-        e1 = elementary_e(1, 2)
-        assert (e1 * e1).terms == {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
+        e1 = elementary(1, 2)
+        assert product(e1, e1) == {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
+        # each word of e_i e_j splits one way only: every coefficient is 1
+        for q in range(1, 6):
+            for i in range(1, q + 1):
+                for j in range(1, q + 1):
+                    assert set(product(elementary(i, q), elementary(j, q)).values()) == {1}
 
     def test_commutator_terms(self):
-        e1, e2 = elementary_e(1, 2), elementary_e(2, 2)
-        diff = e1 * e2 - e2 * e1
-        assert diff.terms == {(1, 2, 1): 1, (2, 2, 1): 1, (2, 1, 1): -1, (2, 1, 2): -1}
+        e1, e2 = elementary(1, 2), elementary(2, 2)
+        ij, ji = set(product(e1, e2)), set(product(e2, e1))
+        assert ij - ji == {(1, 2, 1), (2, 2, 1)}
+        assert ji - ij == {(2, 1, 1), (2, 1, 2)}
+        assert sorted(map(word_normal_form, ij - ji)) == sorted(map(word_normal_form, ji - ij)) == [(1, 2, 1), (2, 1, 2)]
 
-    def test_text_form(self):
-        e1, e2 = elementary_e(1, 2), elementary_e(2, 2)
-        assert str(e1 * e2 - e2 * e1) == "+1*(1,2,1) -1*(2,1,1) -1*(2,1,2) +1*(2,2,1)"
-        assert str(NCPolynomial.zero(3)) == "0"
+    def test_text_form(self, capsys, monkeypatch):
+        assert main(["commute", "1", "2", "--alphabet", "2"]) == 0
+        assert capsys.readouterr().out == "e_1 e_2 = e_2 e_1 over 1..2\n"
+        monkeypatch.setattr(words, "word_normal_form", identity)
+        assert main(["commute", "1", "2", "--alphabet", "2"]) == 0
+        assert capsys.readouterr().out == "e_1 e_2 != e_2 e_1 over 1..2\n"
 
 
 class TestElementary:
+    """The brute force's own e_k."""
+
     def test_examples(self):
-        assert elementary_e(1, 2).terms == {(1,): 1, (2,): 1}
-        assert elementary_e(2, 2).terms == {(2, 1): 1}
-        assert elementary_e(2, 3).terms == {(2, 1): 1, (3, 1): 1, (3, 2): 1}
+        assert elementary(1, 2) == [(1,), (2,)]
+        assert elementary(2, 2) == [(2, 1)]
+        assert elementary(2, 3) == [(2, 1), (3, 1), (3, 2)]
 
     def test_degenerate_degrees(self):
-        assert elementary_e(0, 3).terms == {(): 1}
-        assert elementary_e(4, 3).is_zero()
-        with pytest.raises(ValueError):
-            elementary_e(-1, 3)
+        assert elementary(0, 3) == [()]
+        assert elementary(4, 3) == []
+        for i, j in [(0, 2), (2, 0), (-1, 2)]:
+            with pytest.raises(ValueError):
+                commute_check(i, j, 3)
 
     def test_term_counts(self):
-        import math
-
         for q in range(1, 6):
             for k in range(q + 1):
-                assert len(elementary_e(k, q).terms) == math.comb(q, k)
+                assert len(elementary(k, q)) == math.comb(q, k)
 
 
 class TestReduction:
-    def test_zero(self):
-        assert reduce_poly(NCPolynomial.zero(2)).is_zero()
+    def test_zero(self, monkeypatch):
+        # both products are 0, so nothing is reduced
+        monkeypatch.setattr(words, "word_normal_form", unreachable)
+        assert commute_check(4, 5, 3)
 
     def test_two_letter_commutator_reduces_to_zero(self):
-        e1, e2 = elementary_e(1, 2), elementary_e(2, 2)
-        assert reduce_poly(e1 * e2 - e2 * e1).is_zero()
+        assert commute_check(1, 2, 2)
+        assert brute_commutes(1, 2, 2)
 
     def test_three_letter_commutator_reduces_to_zero(self):
-        e1, e2 = elementary_e(1, 3), elementary_e(2, 3)
-        assert reduce_poly(e1 * e2 - e2 * e1).is_zero()
+        assert commute_check(1, 2, 3)
+        assert brute_commutes(1, 2, 3)
 
     def test_idempotent_and_linear(self):
-        p = elementary_e(1, 3) * elementary_e(2, 3)
-        q = elementary_e(2, 3) * elementary_e(1, 3)
-        assert reduce_poly(reduce_poly(p)) == reduce_poly(p)
-        assert reduce_poly(p - q) == reduce_poly(p) - reduce_poly(q)
+        for w in product(elementary(1, 3), elementary(2, 3)) + product(elementary(2, 3), elementary(1, 3)):
+            assert word_normal_form(word_normal_form(w)) == word_normal_form(w)
+        for q in range(1, 5):
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    assert commute_check(i, j, q) == commute_check(j, i, q)
 
     def test_commute_check_examples(self):
         assert commute_check(1, 2, 2)
@@ -148,6 +189,24 @@ class TestReduction:
         assert commute_check(2, 3, 4)
         with pytest.raises(ValueError):
             commute_check(0, 2, 3)
+
+    def test_identity_normal_form_does_not_commute(self, monkeypatch):
+        # without the quotient e_1 e_2 != e_2 e_1, so the check is not vacuous
+        monkeypatch.setattr(words, "word_normal_form", identity)
+        assert not commute_check(1, 2, 2)
+        e1, e2 = elementary(1, 2), elementary(2, 2)
+        assert product(e1, e2) != product(e2, e1)
+
+    def test_matches_brute_force_with_cold_and_warm_cache(self):
+        cases = [(i, j, q) for q in range(1, 5) for i in range(1, 6) for j in range(1, 7 - i)]
+        expected = [brute_commutes(*case) for case in cases]
+        cold = []
+        for case in cases:
+            words._normal_form_cache.clear()
+            cold.append(commute_check(*case))
+        warm = [commute_check(*case) for case in cases]
+        assert words._normal_form_cache
+        assert cold == warm == expected
 
 
 class TestOrientation:
