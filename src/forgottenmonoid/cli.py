@@ -4,7 +4,7 @@ The ``forgot`` command line tool.
 Subcommands expose the library operations (classes, class-of, canonical,
 insert, ribbons, phi, ns, commute) and the exhaustive verification suites
 (verify).  All results go to stdout, errors to stderr.  Exit codes: 0 on
-success, 1 on a property violation, 2 on a parse error, 3 on a domain error.
+success, 1 on a violation, 2 on a parse or usage error, 3 on a domain error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ LISTING_CAP = 50
 SHAPE_CAP = 20
 COMMUTE_ALPHABET_CAP = 5
 COMMUTE_DEGREE_CAP = 8
+# A confluence scan of 20,000 words takes about 0.5 s at the sizes this allows.
+# Alphabets of 3 or more letters have 33 or more counterexamples of length <= 5.
+CONFLUENCE_SCAN_CAP = 20_000
+CONFLUENCE_LIMIT = 5
 
 
 def integer(text: str) -> int:
@@ -171,6 +175,9 @@ def _cmd_confluence(args: argparse.Namespace) -> int:
     if not args.force:
         _require(q <= COMMUTE_ALPHABET_CAP, f"alphabet {q} beyond the cap {COMMUTE_ALPHABET_CAP} (use --force)")
         _require(max_len <= 8, "word length beyond the cap 8 (use --force)")
+        scanned = sum(q ** length for length in range(3, max_len + 1))
+        _require(args.limit <= CONFLUENCE_LIMIT or scanned <= CONFLUENCE_SCAN_CAP,
+                 f"{scanned} words to scan, beyond the cap {CONFLUENCE_SCAN_CAP} for a limit above 5 (use --force)")
     found = words.orientation_counterexamples(max_len, q, limit=args.limit)
     payload = {
         "alphabet": q,
@@ -265,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("confluence", _cmd_confluence, "look for counterexamples to descending-rewrite confluence")
     p.add_argument("--alphabet", type=integer, default=3, help="alphabet size (default 3)")
     p.add_argument("--max-len", type=integer, default=5, help="longest word to scan (default 5)")
-    p.add_argument("--limit", type=integer, default=5, help="stop after this many counterexamples (default 5)")
+    p.add_argument("--limit", type=integer, default=CONFLUENCE_LIMIT, help="stop after this many counterexamples (default 5)")
 
     p = add("verify", _cmd_verify, "run an exhaustive verification suite")
     p.add_argument("suite", choices=sorted(verify.SUITES), help="which suite to run")
@@ -279,7 +286,12 @@ _PARSER = _build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage message
+        if not exc.code:  # --help
+            raise
+        return EXIT_PARSE
     try:
         return args.handler(args)
     except ParseError as exc:

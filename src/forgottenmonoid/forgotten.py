@@ -3,8 +3,8 @@ Forgotten equivalence on permutations.
 
 Two permutations are related when one is obtained from the other by rewriting
 three consecutive letters acb <-> bac or bca <-> cab (a < b < c): the
-distinct-letter rules of ``words``, whose moves and breadth-first closures
-act on permutations unchanged.  A class is determined completely by the
+distinct-letter rules of ``words``, whose moves and exhaustive closures act
+on permutations unchanged.  A class is determined completely by the
 inversion number together with the relative order of the letters 1 and n;
 each class contains a unique lexicographically minimal word, reachable by
 pattern-avoidance arguments and parameterized by two compact families

@@ -39,16 +39,6 @@ def check_permutation(word: Sequence[int]) -> Perm:
     return p
 
 
-def check_word(letters: Sequence[int], alphabet: int) -> Word:
-    """Validate a word over the ordered alphabet 1..alphabet and return a tuple."""
-    if alphabet < 1:
-        raise ValueError(f"alphabet size must be positive, got {alphabet}")
-    w = tuple(letters)
-    if any(not 1 <= x <= alphabet for x in w):
-        raise ValueError(f"letters outside 1..{alphabet}: {w!r}")
-    return w
-
-
 def check_composition(parts: Sequence[int]) -> Composition:
     """Validate a composition (positive parts, nonempty) and return a tuple."""
     c = tuple(parts)

@@ -117,7 +117,7 @@ def check(suite: str, default_max_n: int | None = None, *, name: str | None = No
 
 @lru_cache(maxsize=8)
 def closure_partition(n: int) -> tuple[dict[Perm, int], tuple[frozenset[Perm], ...]]:
-    """Partition of all of S_n into forgotten classes by breadth-first search."""
+    """Partition of all of S_n into forgotten classes by exhaustive closure."""
     owner: dict[Perm, int] = {}
     classes: list[frozenset[Perm]] = []
     for p in all_permutations(n):

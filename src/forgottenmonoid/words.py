@@ -16,7 +16,7 @@ is cheap to compute at the word lengths used here.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from typing import Sequence
 
 from .perms import Word
@@ -62,20 +62,38 @@ def general_moves(w: Sequence[int]) -> set[Word]:
     return moves
 
 
+def _window_masks(letters: bytes) -> dict[int, int]:
+    """The rule table over these letters as {window code: xor mask}: a
+    three-byte window code xor its mask is the code of the window's image."""
+    masks = {}
+    for x, y, z in itertools.product(set(letters), repeat=3):
+        if image := _rewrite_window(x, y, z):
+            a, b, c = image
+            masks[x << 16 | y << 8 | z] = (x ^ a) << 16 | (y ^ b) << 8 | z ^ c
+    return masks
+
+
 def word_closure(w: Sequence[int]) -> set[Word]:
-    """The full rewriting class of w, by breadth-first search; on a
-    permutation only the distinct-letter rules act, so this is its forgotten
-    class."""
-    start = tuple(w)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for u in general_moves(current):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
+    """The full rewriting class of w; on a permutation only the distinct-letter
+    rules act, so this is its forgotten class.  The search codes each word as
+    an integer, one byte per letter (so letters lie in 0..255, else
+    ValueError), and rewrites its windows by the xor masks of _window_masks."""
+    start = bytes(w)
+    n = len(start)
+    get = _window_masks(start).get
+    shifts = range(0, 8 * n - 16, 8)
+    stack = [int.from_bytes(start, "big")]
+    seen = set(stack)
+    while stack:
+        current = stack.pop()
+        for shift in shifts:
+            mask = get(current >> shift & 0xFFFFFF)
+            if mask:
+                u = current ^ mask << shift
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return {tuple(c.to_bytes(n, "big")) for c in seen}
 
 
 def word_normal_form(w: Sequence[int]) -> Word:
@@ -92,8 +110,7 @@ def word_normal_form(w: Sequence[int]) -> Word:
         return cached
     closure = word_closure(w)
     normal = min(closure)
-    for member in closure:
-        _normal_form_cache[member] = normal
+    _normal_form_cache.update(dict.fromkeys(closure, normal))
     return normal
 
 

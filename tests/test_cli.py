@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from forgottenmonoid import qsym
-from forgottenmonoid.cli import CLOSURE_CAP, LISTING_CAP, SHAPE_CAP, main
+from forgottenmonoid.cli import CLOSURE_CAP, CONFLUENCE_LIMIT, CONFLUENCE_SCAN_CAP, LISTING_CAP, SHAPE_CAP, main
 from forgottenmonoid.perms import descent_set
 from forgottenmonoid.words import word_closure
 
@@ -233,17 +233,19 @@ class TestExitCodes:
         ("verify", "classes", "--max-n", "\uff14"),
     ])
     def test_integer_option_beyond_ascii_decimal_is_usage_error(self, capsys, argv):
-        with pytest.raises(SystemExit) as info:
-            main(list(argv))
-        assert info.value.code == 2
+        assert main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid integer value" in captured.err
 
     def test_unknown_suite_is_usage_error(self):
+        assert main(["verify", "nonsense"]) == 2
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["verify", "nonsense"])
-        assert info.value.code == 2
+            main(["commute", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: forgot commute")
 
 
 class TestCaps:
@@ -285,6 +287,41 @@ class TestCaps:
         sizes = [record["size"] for record in json.loads(out)["classes"]]
         assert len(sizes) == n * n - 3 * n + 4
         assert sum(sizes) == math.factorial(n)
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("q, max_len", [(5, 6), (3, 8)])
+    def test_confluence_full_scan_under_scan_cap_about_a_second(self, capsys, q, max_len):
+        # measured at 0.5-0.9 s; alphabet 4 up to length 7, past the cap, takes 1.1-1.5 s
+        assert sum(q ** length for length in range(3, max_len + 1)) <= CONFLUENCE_SCAN_CAP
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "confluence", "--alphabet", str(q), "--max-len", str(max_len),
+                           "--limit", "100000", "--json")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert len(json.loads(out)["counterexamples"]) < 100000
+        assert elapsed < 1.5
+
+    @pytest.mark.parametrize("q, max_len", [(4, 7), (5, 8)])
+    def test_confluence_beyond_scan_cap_needs_force(self, capsys, q, max_len):
+        assert sum(q ** length for length in range(3, max_len + 1)) > CONFLUENCE_SCAN_CAP
+        argv = ("confluence", "--alphabet", str(q), "--max-len", str(max_len), "--limit", str(CONFLUENCE_LIMIT + 1))
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "" and "--force" in err
+        code, out, _ = run(capsys, *argv, "--force", "--json")
+        assert code == 0
+        assert len(json.loads(out)["counterexamples"]) == CONFLUENCE_LIMIT + 1
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_confluence_default_limit_at_length_cap_within_a_second(self, capsys, q):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "confluence", "--alphabet", str(q), "--max-len", "8", "--json")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        # 2 letters have no counterexample, and 3 letters already have 5 of length <= 5
+        found = json.loads(out)["counterexamples"]
+        assert len(found) == (CONFLUENCE_LIMIT if q >= 3 else 0)
+        assert all(len(c["word"]) <= 5 for c in found)
         assert elapsed < 1.0
 
 

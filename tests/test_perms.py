@@ -3,7 +3,6 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from forgottenmonoid import perms
 from forgottenmonoid.perms import (
     ParseError,
     all_permutations,
@@ -307,8 +306,3 @@ class TestTextForms:
 
     def test_composition_text(self):
         assert format_composition((1, 1, 3)) == "(1,1,3)"
-
-    def test_check_word_alphabet(self):
-        assert perms.check_word((1, 2, 1), 2) == (1, 2, 1)
-        with pytest.raises(ValueError):
-            perms.check_word((1, 3), 2)

@@ -1,6 +1,6 @@
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -47,6 +47,61 @@ class TestGeneralMoves:
         for n in range(1, 8):
             for p in itertools.permutations(range(1, n + 1)):
                 assert general_moves(p) == permutation_moves(p)
+
+
+def bfs_closure(w):
+    """The class of w by plain breadth-first search over general_moves."""
+    seen = {tuple(w)}
+    queue = deque(seen)
+    while queue:
+        for u in general_moves(queue.popleft()):
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return seen
+
+
+def assert_closures_match_bfs(ws):
+    """word_closure(w) equals the BFS class of w, one BFS per class."""
+    classes = {}
+    for w in ws:
+        if w not in classes:
+            members = frozenset(bfs_closure(w))
+            classes.update(dict.fromkeys(members, members))
+        assert word_closure(w) == classes[w], w
+
+
+class TestCodedClosure:
+    """word_closure searches byte-coded words; plain BFS is the oracle."""
+
+    def test_all_short_words_match_bfs(self):
+        assert_closures_match_bfs(
+            w for length in range(7) for w in itertools.product(range(1, 5), repeat=length)
+        )
+
+    def test_all_small_permutations_match_bfs(self):
+        assert_closures_match_bfs(p for n in range(8) for p in itertools.permutations(range(1, n + 1)))
+
+    def test_masks_rewrite_each_window_to_its_image(self):
+        masks = words._window_masks(bytes(range(1, 7)))
+        windows = list(itertools.product(range(1, 7), repeat=3))
+        for window in windows:
+            code = int.from_bytes(bytes(window), "big")
+            image = words._rewrite_window(*window)
+            if image is None:
+                assert code not in masks, window
+            else:
+                assert (code ^ masks[code]).to_bytes(3, "big") == bytes(image), window
+        assert len(masks) == sum(words._rewrite_window(*window) is not None for window in windows)
+
+    def test_extreme_letters_round_trip(self):
+        assert word_closure((0, 255, 0)) == {(0, 255, 0), (255, 0, 0)}
+        assert_closures_match_bfs(itertools.product((0, 1, 254, 255), repeat=5))
+
+    @pytest.mark.parametrize("w", [(256,), (1, 256, 2), (-1,), (2, -1, 3)])
+    def test_letters_outside_a_byte_are_rejected(self, w):
+        with pytest.raises(ValueError):
+            word_closure(w)
 
 
 class TestClosure:
