@@ -10,6 +10,7 @@ success, 1 on a violation, 2 on a parse or usage error, 3 on a domain error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -139,16 +140,9 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
     return _emit(args, payload, lines)
 
 
-def _cmd_phi(args: argparse.Namespace) -> int:
+def _cmd_transform(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
-    image = qsym.foata(p)
-    payload = {"input": p, "result": image}
-    return _emit(args, payload, lambda: [format_permutation(image)])
-
-
-def _cmd_ns(args: argparse.Namespace) -> int:
-    p = parse_permutation(args.perm)
-    image = qsym.ns_map(p)
+    image = args.transform(p)
     payload = {"input": p, "result": image}
     return _emit(args, payload, lambda: [format_permutation(image)])
 
@@ -199,27 +193,9 @@ def _cmd_confluence(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = verify.run_suite(args.suite, max_n=args.max_n, force=args.force)
-    passed = sum(1 for r in results if r.passed)
-    if args.json:
-        payload = {
-            "suite": args.suite,
-            "passed": passed == len(results),
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "counterexample": r.counterexample,
-                    "elapsed": r.elapsed,
-                }
-                for r in results
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        for r in results:
-            print(r.line())
-        print(f"{passed}/{len(results)} checks passed")
+    passed = sum(r.passed for r in results)
+    payload = {"suite": args.suite, "passed": passed == len(results), "checks": [dataclasses.asdict(r) for r in results]}
+    _emit(args, payload, lambda: [*(r.line() for r in results), f"{passed}/{len(results)} checks passed"])
     return EXIT_OK if passed == len(results) else EXIT_VIOLATION
 
 
@@ -258,11 +234,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also evaluate the ribbon sum in M <= n variables (omit M or give 0 to use n)",
     )
 
-    p = add("phi", _cmd_phi, "Foata transform of a permutation")
-    p.add_argument("perm")
-
-    p = add("ns", _cmd_ns, "inverse-conjugated Foata transform of a permutation")
-    p.add_argument("perm")
+    for name, transform, help_text in (
+        ("phi", qsym.foata, "Foata transform of a permutation"),
+        ("ns", qsym.ns_map, "inverse-conjugated Foata transform of a permutation"),
+    ):
+        p = add(name, _cmd_transform, help_text)
+        p.set_defaults(transform=transform)
+        p.add_argument("perm")
 
     p = add("commute", _cmd_commute, "check e_i e_j = e_j e_i in the quotient")
     p.add_argument("i", type=integer)

@@ -74,13 +74,6 @@ class ClassKey:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "inv": self.inv, "oneBeforeN": self.one_before_n}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ClassKey":
-        n, inv, one_before_n = data["n"], data["inv"], data["oneBeforeN"]
-        if type(n) is not int or type(inv) is not int or type(one_before_n) is not bool:
-            raise ValueError(f"class key needs integer n and inv and boolean oneBeforeN, got {data!r}")
-        return cls(n, inv, one_before_n)
-
 
 def parse_class_key(text: str) -> ClassKey:
     """Read a key from its "n,inv,1n" / "n,inv,n1" text form, with the
@@ -428,7 +421,7 @@ def next_lambda_down(p: Sequence[int]) -> Perm | None:
     >>> next_lambda_down((1, 2, 3, 8, 7, 6, 5, 4)) is None
     True
     """
-    p = tuple(p)
+    p = check_permutation(p)  # O(n) here: Timsort sees a lambda as two runs
     if not is_lambda_shaped(p):
         raise ValueError(f"{p!r} is not lambda-shaped")
     n = len(p)
@@ -459,4 +452,4 @@ def coforgotten_equivalent(p: Sequence[int], q: Sequence[int]) -> bool:
     """Forgotten equivalence of the inverse permutations."""
     if len(p) != len(q):
         raise ValueError(f"size mismatch: {len(p)} vs {len(q)}")
-    return equivalent(inverse(p), inverse(q))
+    return equivalent(inverse(check_permutation(p)), inverse(check_permutation(q)))

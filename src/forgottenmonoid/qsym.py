@@ -21,6 +21,7 @@ from .forgotten import ClassKey, lambda_members, v_members
 from .perms import (
     Composition,
     check_composition,
+    check_permutation,
     composition_from_subset,
     inverse,
     recoil_composition,
@@ -122,7 +123,7 @@ def foata(p: Sequence[int]) -> tuple[int, ...]:
     (2, 3, 1)
     """
     image: list[int] = []
-    for a in p:
+    for a in check_permutation(p):
         if image:
             cut_above = image[-1] > a
             rebuilt: list[int] = []
@@ -146,7 +147,7 @@ def ns_map(p: Sequence[int]) -> tuple[int, ...]:
     >>> ns_map((1, 3, 2))
     (2, 3, 1)
     """
-    return inverse(foata(inverse(p)))
+    return inverse(foata(inverse(check_permutation(p))))
 
 
 def compositions_with_maj(n: int, maj: int) -> set[Composition]:

@@ -24,6 +24,7 @@ from .forgotten import ClassKey, _key_pair, class_key
 from .perms import (
     Composition,
     Perm,
+    Word,
     all_compositions,
     all_permutations,
     composition_maj,
@@ -115,20 +116,28 @@ def check(suite: str, default_max_n: int | None = None, *, name: str | None = No
     return register
 
 
+def _partition(ws: Iterable[Word]) -> tuple[dict[Word, int], tuple[frozenset[Word], ...]]:
+    """Close each word not yet seen: (class index of every word, the classes)."""
+    owner: dict[Word, int] = {}
+    classes: list[frozenset[Word]] = []
+    for w in ws:
+        if w not in owner:
+            members = frozenset(words.word_closure(w))
+            owner.update(dict.fromkeys(members, len(classes)))
+            classes.append(members)
+    return owner, tuple(classes)
+
+
 @lru_cache(maxsize=8)
 def closure_partition(n: int) -> tuple[dict[Perm, int], tuple[frozenset[Perm], ...]]:
     """Partition of all of S_n into forgotten classes by exhaustive closure."""
-    owner: dict[Perm, int] = {}
-    classes: list[frozenset[Perm]] = []
-    for p in all_permutations(n):
-        if p in owner:
-            continue
-        members = frozenset(words.word_closure(p))
-        index = len(classes)
-        classes.append(members)
-        for q in members:
-            owner[q] = index
-    return owner, tuple(classes)
+    return _partition(all_permutations(n))
+
+
+def _reversal_closed(members: Iterable[Word]) -> bool:
+    """True iff the members' descent compositions form a reversal-closed multiset."""
+    comps = Counter(map(descent_composition, members))
+    return comps == Counter(reverse(c) for c in comps.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +304,7 @@ def check_reversal_closure_classes(hi: int) -> Outcome:
     for n in range(2, hi + 1):
         _, classes = closure_partition(n)
         for members in classes:
-            comps = Counter(descent_composition(p) for p in members)
-            flipped = Counter(reverse(c) for c in comps.elements())
-            if comps != flipped:
+            if not _reversal_closed(members):
                 return _fail(f"descent multiset not reversal-closed at n={n}", sorted(members)[0])
     return f"descent-composition multisets are reversal-closed (n <= {hi})"
 
@@ -546,21 +553,13 @@ def check_restriction_consistency() -> Outcome:
 
 @check("commutation", 6)
 def check_normal_form_invariance(max_len: int) -> Outcome:
-    classes = 0
-    seen: set[tuple[int, ...]] = set()
-    for w in _words_upto(max_len, 4):
-        if w in seen:
-            continue
-        closure = words.word_closure(w)
-        seen.update(closure)
-        classes += 1
+    _, classes = _partition(_words_upto(max_len, 4))
+    for closure in classes:
         normal = min(closure)
-        if normal not in closure:
-            return _fail("normal form escaped its class", w)
         for u in closure:
             if words.word_normal_form(u) != normal:
-                return _fail("normal form differs inside one class", (w, u))
-    return f"{classes} word classes share one normal form each (len <= {max_len}, q <= 4)"
+                return _fail("normal form differs inside one class", (normal, u))
+    return f"{len(classes)} word classes share one normal form each (len <= {max_len}, q <= 4)"
 
 
 @check("commutation", name="elementary_commutation")
@@ -575,19 +574,11 @@ def check_commutation() -> Outcome:
 
 @check("commutation", 6)
 def check_reversal_closure_words(max_len: int) -> Outcome:
-    seen: set[tuple[int, ...]] = set()
-    classes = 0
-    for w in _words_upto(max_len, 4):
-        if w in seen:
-            continue
-        closure = words.word_closure(w)
-        seen.update(closure)
-        classes += 1
-        comps = Counter(descent_composition(u) for u in closure)
-        flipped = Counter(reverse(c) for c in comps.elements())
-        if comps != flipped:
-            return _fail("descent multiset of a word class not reversal-closed", w)
-    return f"{classes} word classes have reversal-closed descent multisets (len <= {max_len}, q <= 4)"
+    _, classes = _partition(_words_upto(max_len, 4))
+    for closure in classes:
+        if not _reversal_closed(closure):
+            return _fail("descent multiset of a word class not reversal-closed", min(closure))
+    return f"{len(classes)} word classes have reversal-closed descent multisets (len <= {max_len}, q <= 4)"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import math
+import re
 import time
 
 from collections import Counter
 
 import pytest
 
-from forgottenmonoid import qsym
+from forgottenmonoid import qsym, verify
 from forgottenmonoid.cli import CLOSURE_CAP, CONFLUENCE_LIMIT, CONFLUENCE_SCAN_CAP, LISTING_CAP, SHAPE_CAP, main
 from forgottenmonoid.perms import descent_set
 from forgottenmonoid.words import word_closure
@@ -140,6 +142,34 @@ class TestCommands:
         }
         for check in payload["checks"]:
             assert isinstance(check["elapsed"], float) and check["elapsed"] >= 0
+
+    @pytest.mark.parametrize("suite", sorted(set(verify.SUITES) - {"all"}))
+    def test_verify_json_records_are_check_results(self, capsys, suite):
+        fields = ["name", "passed", "detail", "counterexample", "elapsed"]
+        assert [field.name for field in dataclasses.fields(verify.CheckResult)] == fields
+        code, out, _ = run(capsys, "verify", suite, "--max-n", "3", "--json")
+        assert code == 0
+        records = json.loads(out)["checks"]
+        assert [list(record) for record in records] == [fields] * len(verify.SUITES[suite])
+
+    def test_verify_reports_a_failing_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "SUITES", {})
+        verify.check("insertion", name="forced")(lambda: verify._fail("forced failure", (2, 1)))
+        verify.SUITES["insertion"].insert(0, verify.check_insertion_table)
+        code, out, _ = run(capsys, "verify", "insertion")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("[PASS] insertion_table: ")
+        assert re.fullmatch(r"\[FAIL\] forced: forced failure \(\d+\.\d\ds\) \| counterexample: \(2, 1\)", lines[1])
+        assert lines[2:] == ["1/2 checks passed"]
+        code, out, _ = run(capsys, "verify", "insertion", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert [record["passed"] for record in payload["checks"]] == [True, False]
+        forced = payload["checks"][1]
+        assert isinstance(forced.pop("elapsed"), float)
+        assert forced == {"name": "forced", "passed": False, "detail": "forced failure", "counterexample": "(2, 1)"}
 
     def test_consecutive_calls_keep_their_own_options(self, capsys):
         # one parser serves every call: a --json call leaves nothing behind

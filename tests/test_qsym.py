@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -195,11 +196,20 @@ class TestFoata:
         assert foata((3, 2, 1, 4)) == (3, 2, 1, 4)
         assert foata((2, 3, 4, 1, 5)) == (2, 3, 4, 1, 5)
 
+    def test_rejects_a_repeated_letter(self):
+        # unchecked, a repeated last letter would never close a block and be lost
+        with pytest.raises(ValueError, match=re.escape("(1, 1)")):
+            foata((1, 1))
+
 
 class TestNsMap:
     def test_examples(self):
         assert ns_map(tuple(range(1, 6))) == tuple(range(1, 6))
         assert ns_map((1, 3, 2)) == (2, 3, 1)
+
+    def test_rejects_a_letter_above_n(self):
+        with pytest.raises(ValueError, match=re.escape("(5, 1)")):
+            ns_map((5, 1))
 
     def test_descents_kept_and_bijective(self):
         for n in range(1, 6):

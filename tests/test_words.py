@@ -4,7 +4,7 @@ from collections import Counter, deque
 
 import pytest
 
-from forgottenmonoid import words
+from forgottenmonoid import verify, words
 from forgottenmonoid.cli import main
 from forgottenmonoid.perms import inversion_number, standardize
 from forgottenmonoid.words import (
@@ -93,6 +93,12 @@ class TestCodedClosure:
             else:
                 assert (code ^ masks[code]).to_bytes(3, "big") == bytes(image), window
         assert len(masks) == sum(words._rewrite_window(*window) is not None for window in windows)
+
+    def test_verify_partition_matches_bfs(self):
+        ws = [w for length in range(1, 5) for w in itertools.product(range(1, 4), repeat=length)]
+        owner, classes = verify._partition(ws)
+        assert classes == tuple(dict.fromkeys(frozenset(bfs_closure(w)) for w in ws))
+        assert owner == {w: i for i, members in enumerate(classes) for w in members}
 
     def test_extreme_letters_round_trip(self):
         assert word_closure((0, 255, 0)) == {(0, 255, 0), (255, 0, 0)}
