@@ -36,7 +36,6 @@ from .perms import (
     composition_maj,
     descent_composition,
     descent_set,
-    format_composition,
     format_permutation,
     inverse,
     inversion_number,
@@ -58,7 +57,6 @@ from .qsym import (
 )
 from .words import (
     commute_check,
-    descent_endpoints,
     general_moves,
     orientation_counterexamples,
     word_closure,

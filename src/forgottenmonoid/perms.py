@@ -292,7 +292,3 @@ def parse_permutation(text: str) -> Perm:
 
 def format_permutation(p: Sequence[int]) -> str:
     return ",".join(map(str, p))
-
-
-def format_composition(parts: Sequence[int]) -> str:
-    return "(" + ",".join(map(str, parts)) + ")"

@@ -17,15 +17,13 @@ from functools import lru_cache
 from operator import gt
 from typing import Iterable, Sequence
 
-from .forgotten import ClassKey, lambda_members, v_members
+from .forgotten import ClassKey
 from .perms import (
     Composition,
     check_composition,
     check_permutation,
     composition_from_subset,
     inverse,
-    recoil_composition,
-    reverse,
 )
 
 
@@ -122,8 +120,13 @@ def foata(p: Sequence[int]) -> tuple[int, ...]:
     >>> foata((2, 3, 1))
     (2, 3, 1)
     """
+    return _foata(check_permutation(p))
+
+
+def _foata(p: Sequence[int]) -> tuple[int, ...]:
+    """foata without validating p."""
     image: list[int] = []
-    for a in check_permutation(p):
+    for a in p:
         if image:
             cut_above = image[-1] > a
             rebuilt: list[int] = []
@@ -147,7 +150,7 @@ def ns_map(p: Sequence[int]) -> tuple[int, ...]:
     >>> ns_map((1, 3, 2))
     (2, 3, 1)
     """
-    return inverse(foata(inverse(check_permutation(p))))
+    return inverse(_foata(inverse(check_permutation(p))))
 
 
 def compositions_with_maj(n: int, maj: int) -> set[Composition]:
@@ -225,16 +228,6 @@ class RibbonSum:
             if coeff:
                 terms[exponents] = coeff
         return terms
-
-
-def expansion_by_lambda(key: ClassKey) -> set[Composition]:
-    """Reversed recoil compositions of the class's lambda-shaped members."""
-    return {reverse(recoil_composition(w)) for w in lambda_members(key)}
-
-
-def expansion_by_v(key: ClassKey) -> set[Composition]:
-    """Recoil compositions of the class's v-shaped members."""
-    return {recoil_composition(w) for w in v_members(key)}
 
 
 def ribbon_expansion(key: ClassKey) -> RibbonSum:

@@ -585,6 +585,16 @@ def check_reversal_closure_words(max_len: int) -> Outcome:
 # ribbon suite
 
 
+def _expansion_by_lambda(key: ClassKey) -> set[Composition]:
+    """Reversed recoil compositions of the class's lambda-shaped members."""
+    return {reverse(recoil_composition(w)) for w in forgotten.lambda_members(key)}
+
+
+def _expansion_by_v(key: ClassKey) -> set[Composition]:
+    """Recoil compositions of the class's v-shaped members."""
+    return {recoil_composition(w) for w in forgotten.v_members(key)}
+
+
 @check("ribbon")
 def check_sign_pairing() -> Outcome:
     adopted_ok = True
@@ -592,7 +602,7 @@ def check_sign_pairing() -> Outcome:
     witness = None
     for n in (4, 5):
         for key in forgotten.all_class_keys(n):
-            by_lambda = qsym.expansion_by_lambda(key)
+            by_lambda = _expansion_by_lambda(key)
             stratum = qsym.compositions_with_maj(n, key.inv)
             ends = {parts for parts in stratum if parts[-1] == 1}
             not_ends = stratum - ends
@@ -679,7 +689,7 @@ def check_composition_partition(hi: int) -> Outcome:
                 key = ClassKey(n, k, one_before_n)
                 keys += 1
                 expansion = qsym.ribbon_expansion(key).compositions
-                if not expansion == qsym.expansion_by_lambda(key) == qsym.expansion_by_v(key):
+                if not expansion == _expansion_by_lambda(key) == _expansion_by_v(key):
                     return _fail(f"maj, lambda and v expansions disagree at n={n}", key)
                 if covered & expansion:
                     return _fail(f"expansions overlap at n={n}", k)

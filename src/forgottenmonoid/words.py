@@ -135,25 +135,6 @@ def commute_check(i: int, j: int, alphabet_size: int) -> bool:
     return Counter(map(word_normal_form, ij - shared)) == Counter(map(word_normal_form, ji - shared))
 
 
-def descent_endpoints(w: Sequence[int]) -> set[Word]:
-    """All words reachable from w by lexicographically decreasing rewrites
-    only, admitting no further decreasing rewrite."""
-    endpoints: set[Word] = set()
-    seen: set[Word] = set()
-    stack = [tuple(w)]
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        lower = [u for u in general_moves(current) if u < current]
-        if lower:
-            stack.extend(lower)
-        else:
-            endpoints.add(current)
-    return endpoints
-
-
 def orientation_counterexamples(
     max_len: int, alphabet_size: int, limit: int | None = None
 ) -> list[tuple[Word, tuple[Word, ...]]]:
@@ -163,17 +144,32 @@ def orientation_counterexamples(
     different irreducible words.  Such words are why normal forms here are
     computed from full closures instead of directed rewriting.
 
+    Each length is scanned in lexicographic order, which meets every lower
+    move of w before w: w's stalls are the union of theirs, or w alone.
+    Words are coded as in word_closure (letters at most 255), so that order
+    is integer order and only the descending masks are kept.
+
     >>> orientation_counterexamples(4, 3, limit=1)
     [((2, 2, 1, 3), ((1, 2, 3, 2), (2, 1, 2, 3)))]
     """
+    if max_len < 3:
+        raise ValueError(f"max_len must be at least 3, got {max_len}")
+    if alphabet_size > 255:
+        raise ValueError(f"letters are coded as bytes, so at most 255 of them, got {alphabet_size}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    masks = _window_masks(bytes(range(1, alphabet_size + 1)))
+    get = {window: mask for window, mask in masks.items() if window ^ mask < window}.get
     found: list[tuple[Word, tuple[Word, ...]]] = []
     for length in range(3, max_len + 1):
+        shifts = range(0, 8 * length - 16, 8)
+        stalls: dict[int, frozenset[Word]] = {}
         for w in itertools.product(range(1, alphabet_size + 1), repeat=length):
-            endpoints = descent_endpoints(w)
-            if len(endpoints) > 1:
-                found.append((w, tuple(sorted(endpoints))))
+            code = int.from_bytes(bytes(w), "big")
+            lower = [stalls[code ^ mask << shift] for shift in shifts if (mask := get(code >> shift & 0xFFFFFF))]
+            ends = stalls[code] = frozenset().union(*lower) if lower else frozenset((w,))
+            if len(ends) > 1:
+                found.append((w, tuple(sorted(ends))))
                 if limit is not None and len(found) >= limit:
                     return found
     return found

@@ -255,6 +255,13 @@ class TestExitCodes:
         assert out == ""
         assert "domain error" in err
 
+    @pytest.mark.parametrize("max_len", ["2", "0", "-4"])
+    def test_confluence_max_len_below_3_is_domain_error(self, capsys, max_len):
+        code, out, err = run(capsys, "confluence", "--max-len", max_len)
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err and "max_len" in err
+
     @pytest.mark.parametrize("argv", [
         ("classes", "--n", "\u0663"),
         ("insert", "1,2", " +0"),
@@ -319,9 +326,10 @@ class TestCaps:
         assert sum(sizes) == math.factorial(n)
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("q, max_len", [(5, 6), (3, 8)])
+    @pytest.mark.parametrize("q, max_len", [(5, 6), (3, 8), (46, 3), (5, 7), (4, 8), (3, 10)])
     def test_confluence_full_scan_under_scan_cap_about_a_second(self, capsys, q, max_len):
-        # measured at 0.5-0.9 s; alphabet 4 up to length 7, past the cap, takes 1.1-1.5 s
+        # 46 letters is the largest alphabet under the cap; the last three are
+        # the longest full scans under it, measured at 0.9-1.3 s
         assert sum(q ** length for length in range(3, max_len + 1)) <= CONFLUENCE_SCAN_CAP
         started = time.perf_counter()
         code, out, _ = run(capsys, "confluence", "--alphabet", str(q), "--max-len", str(max_len),
@@ -331,19 +339,30 @@ class TestCaps:
         assert len(json.loads(out)["counterexamples"]) < 100000
         assert elapsed < 1.5
 
-    @pytest.mark.parametrize("q, max_len", [(4, 7), (5, 8)])
+    @pytest.mark.parametrize("q, max_len", [(4, 9), (5, 8), (3, 11)])
     def test_confluence_beyond_scan_cap_needs_force(self, capsys, q, max_len):
+        # the cap counts the words of a full scan, whatever the limit
         assert sum(q ** length for length in range(3, max_len + 1)) > CONFLUENCE_SCAN_CAP
-        argv = ("confluence", "--alphabet", str(q), "--max-len", str(max_len), "--limit", str(CONFLUENCE_LIMIT + 1))
+        argv = ("confluence", "--alphabet", str(q), "--max-len", str(max_len))
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == "" and "--force" in err
         code, out, _ = run(capsys, *argv, "--force", "--json")
         assert code == 0
-        assert len(json.loads(out)["counterexamples"]) == CONFLUENCE_LIMIT + 1
+        assert len(json.loads(out)["counterexamples"]) == CONFLUENCE_LIMIT
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("q, max_len", [(10 ** 9, 10 ** 9), (1, 10 ** 9)])
+    def test_confluence_huge_scan_refused_at_once(self, capsys, q, max_len):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "confluence", "--alphabet", str(q), "--max-len", str(max_len))
+        elapsed = time.perf_counter() - started
+        assert code == 3
+        assert out == "" and "--force" in err
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_confluence_default_limit_at_length_cap_within_a_second(self, capsys, q):
+        # length 8 is the longest under the scan cap for 4 letters
         started = time.perf_counter()
         code, out, _ = run(capsys, "confluence", "--alphabet", str(q), "--max-len", "8", "--json")
         elapsed = time.perf_counter() - started

@@ -12,7 +12,6 @@ from forgottenmonoid.perms import (
     composition_maj,
     descent_composition,
     descent_set,
-    format_composition,
     format_permutation,
     inverse,
     inversion_number,
@@ -303,6 +302,3 @@ class TestTextForms:
         p = tuple(p)
         text = "".join(map(str, p)) if digit_string and len(p) <= 9 else format_permutation(p)
         assert parse_permutation(text) == p
-
-    def test_composition_text(self):
-        assert format_composition((1, 1, 3)) == "(1,1,3)"

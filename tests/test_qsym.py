@@ -12,6 +12,7 @@ from forgottenmonoid.forgotten import ClassKey, all_class_keys, canonical_of_key
 from forgottenmonoid.perms import (
     all_compositions,
     all_permutations,
+    check_permutation,
     composition_from_subset,
     composition_maj,
     descent_set,
@@ -211,6 +212,19 @@ class TestNsMap:
         with pytest.raises(ValueError, match=re.escape("(5, 1)")):
             ns_map((5, 1))
 
+    def test_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return check_permutation(p)
+
+        monkeypatch.setattr(qsym, "check_permutation", counting)
+        for p in all_permutations(4):
+            calls.clear()
+            ns_map(p)
+            assert calls == [p]
+
     def test_descents_kept_and_bijective(self):
         for n in range(1, 6):
             images = set()
@@ -266,13 +280,13 @@ class TestRibbonExpansion:
         assert str(minus) == "r[1,1,5,1] + r[3,4,1]"
 
     def test_disagreement_fails_verify(self, monkeypatch):
-        monkeypatch.setattr(qsym, "expansion_by_v", lambda key: {(key.n,), (1,) * key.n})
+        monkeypatch.setattr(verify, "_expansion_by_v", lambda key: {(key.n,), (1,) * key.n})
         assert not verify.check_composition_partition(max_n=4).passed
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(9, 14).flatmap(lambda n: st.sampled_from(all_class_keys(n))))
     def test_agrees_with_shape_members(self, key):
-        assert ribbon_expansion(key).compositions == qsym.expansion_by_lambda(key) == qsym.expansion_by_v(key)
+        assert ribbon_expansion(key).compositions == verify._expansion_by_lambda(key) == verify._expansion_by_v(key)
 
     def test_empty_sum_prints_zero(self):
         assert str(RibbonSum(4, frozenset())) == "0"

@@ -1,15 +1,16 @@
 import itertools
 import math
 from collections import Counter, deque
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forgottenmonoid import verify, words
 from forgottenmonoid.cli import main
 from forgottenmonoid.perms import inversion_number, standardize
 from forgottenmonoid.words import (
     commute_check,
-    descent_endpoints,
     general_moves,
     orientation_counterexamples,
     word_closure,
@@ -270,6 +271,43 @@ class TestReduction:
         assert cold == warm == expected
 
 
+def descent_endpoints(w):
+    """Every word reachable from w by lexicographically decreasing rewrites
+    that admits none, by a search from w alone: the oracle for the
+    confluence scan, which reads them off the words scanned before w."""
+    endpoints = set()
+    seen = set()
+    stack = [tuple(w)]
+    while stack:
+        current = stack.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        lower = [u for u in general_moves(current) if u < current]
+        if lower:
+            stack.extend(lower)
+        else:
+            endpoints.add(current)
+    return endpoints
+
+
+def searched_counterexamples(max_len, q):
+    """orientation_counterexamples by a search per word."""
+    found = []
+    for length in range(3, max_len + 1):
+        for w in itertools.product(range(1, q + 1), repeat=length):
+            endpoints = descent_endpoints(w)
+            if len(endpoints) > 1:
+                found.append((w, tuple(sorted(endpoints))))
+    return found
+
+
+@lru_cache(maxsize=None)
+def listed_up_to_length_8():
+    """The scan over 1..4 to length 8, built once, by word."""
+    return dict(orientation_counterexamples(8, 4))
+
+
 class TestOrientation:
     def test_descending_endpoints_stay_in_class(self):
         # a descending stall need not be the class minimum: from 12123 no
@@ -292,3 +330,32 @@ class TestOrientation:
 
     def test_two_letter_alphabet_has_no_short_counterexamples(self):
         assert orientation_counterexamples(4, 2) == []
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_scan_matches_per_word_search(self, q):
+        expected = searched_counterexamples(6, q)
+        for max_len in range(3, 7):
+            full = orientation_counterexamples(max_len, q)
+            assert full == [c for c in expected if len(c[0]) <= max_len]
+            # every limit up to 250, then every 50th, and one past the end
+            limits = {*range(1, min(len(full), 250) + 1), *range(250, len(full), 50), len(full) + 1}
+            for limit in limits:
+                assert orientation_counterexamples(max_len, q, limit=limit) == full[:limit]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda q: st.lists(st.integers(1, q), min_size=7, max_size=8)).map(tuple))
+    def test_long_words_listed_with_searched_stalls(self, w):
+        # descending moves keep a word's letters, so the scan over 1..4 covers every q <= 4
+        endpoints = descent_endpoints(w)
+        expected = tuple(sorted(endpoints)) if len(endpoints) > 1 else None
+        assert listed_up_to_length_8().get(w) == expected
+
+    @pytest.mark.parametrize("max_len", [2, 0, -4])
+    def test_rejects_lengths_below_3(self, max_len):
+        # no word shorter than 3 has a move, so such a scan would check nothing
+        with pytest.raises(ValueError, match="max_len"):
+            orientation_counterexamples(max_len, 3)
+
+    def test_rejects_alphabets_beyond_a_byte(self):
+        with pytest.raises(ValueError, match="255"):
+            orientation_counterexamples(3, 256, limit=1)
