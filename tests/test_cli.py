@@ -360,11 +360,19 @@ class TestCaps:
         assert out == "" and "--force" in err
         assert elapsed < 0.5
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     def test_confluence_default_limit_at_length_cap_within_a_second(self, capsys, q):
-        # length 8 is the longest under the scan cap for 4 letters
+        # length 8 is the longest under the scan cap for 4 letters; 5 letters
+        # pass the cap there, so they are refused and then forced, and the
+        # limit still stops the forced scan early
+        argv = ("confluence", "--alphabet", str(q), "--max-len", "8", "--json")
+        if sum(q ** length for length in range(3, 9)) > CONFLUENCE_SCAN_CAP:
+            code, out, err = run(capsys, *argv)
+            assert code == 3
+            assert out == "" and "--force" in err
+            argv += ("--force",)
         started = time.perf_counter()
-        code, out, _ = run(capsys, "confluence", "--alphabet", str(q), "--max-len", "8", "--json")
+        code, out, _ = run(capsys, *argv)
         elapsed = time.perf_counter() - started
         assert code == 0
         # 2 letters have no counterexample, and 3 letters already have 5 of length <= 5
