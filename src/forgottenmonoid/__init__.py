@@ -50,6 +50,7 @@ from .perms import (
 )
 from .qsym import (
     RibbonSum,
+    class_qsym_sum,
     compositions_with_maj,
     foata,
     ns_map,

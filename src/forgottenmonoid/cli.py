@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import re
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
@@ -28,6 +29,9 @@ EXIT_DOMAIN = 3
 CLOSURE_CAP = 9
 LISTING_CAP = 50
 SHAPE_CAP = 20
+# ribbons --vars lists at most this many exponent vectors, C(n + M - 1, M - 1):
+# about half a second at the cap, from n = M = 10 to n = 20 with M = 6.
+VARS_TERM_CAP = 100_000
 COMMUTE_ALPHABET_CAP = 5
 COMMUTE_DEGREE_CAP = 8
 # A full confluence scan of 100,000 words takes about 1 s.
@@ -50,7 +54,7 @@ def _require(condition: bool, message: str) -> None:
 def _emit(args: argparse.Namespace, payload: dict, lines: Callable[[], Iterable[str]]) -> int:
     """Print the payload under --json, else the text lines, built only then."""
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps(payload, check_circular=False))  # every payload is a fresh tree
     else:
         for line in lines():
             print(line)
@@ -116,24 +120,24 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
     if args.vars is not None:
         num_vars = args.vars or key.n
         _require(num_vars <= key.n or args.force, f"M={num_vars} above n={key.n}; n variables fix the sum (use --force)")
-        _require(
-            key.n <= CLOSURE_CAP or args.force,
-            f"evaluating the sum needs n <= {CLOSURE_CAP} (use --force)",
-        )
-        total = expansion.evaluate(num_vars)
+        if num_vars >= 1 and not args.force:
+            terms = math.comb(key.n + num_vars - 1, num_vars - 1)
+            _require(terms <= VARS_TERM_CAP, f"{terms} terms in {num_vars} variables beyond the cap {VARS_TERM_CAP} (use --force)")
+        total = qsym.class_qsym_sum(key, num_vars)
         payload["vars"] = num_vars
+        # total lists its vectors in lexicographic order, and json writes tuples as lists
         payload["sum"] = {"m": num_vars, "degree": key.n, "terms": [
-            {"exp": list(exponents), "coeff": total[exponents]} for exponents in sorted(total)
+            {"exp": exponents, "coeff": coeff} for exponents, coeff in total.items()
         ]}
 
     def lines() -> Iterator[str]:
         yield str(expansion)
         if total is not None:
+            # powers[i][e] is x_(i+1)^e as printed, empty for e = 0
+            powers = [["", f"x{i}", *(f"x{i}^{e}" for e in range(2, key.n + 1))] for i in range(1, num_vars + 1)]
             terms = " ".join(
-                f"{total[exponents]:+d}*" + "*".join(
-                    f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exponents, 1) if e
-                )
-                for exponents in sorted(total, reverse=True)
+                f"{total[exponents]:+d}*" + "*".join(filter(None, map(list.__getitem__, powers, exponents)))
+                for exponents in reversed(total)
             )
             yield f"sum[m={num_vars}]: {terms or 0}"
 

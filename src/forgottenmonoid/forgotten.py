@@ -310,28 +310,88 @@ def class_members(key: ClassKey) -> list[Perm]:
     return members
 
 
+def _q_multinomial(parts: tuple[int, ...], memo: dict[tuple[int, ...], list[int]]) -> list[int]:
+    """
+    Coefficients of the q-multinomial [m; parts]_q, m = sum(parts), for
+    positive parts in decreasing order: the words with those letter
+    multiplicities by inversion number.  Each part r joins the t letters of
+    the parts before it as [t + r; r]_q, one factor [t + j]_q / [j]_q at a
+    time: a difference at stride t + j, then running sums at stride j, each
+    one pass over a result that stays a polynomial.  Every prefix of parts
+    is kept in memo.
+
+    >>> _q_multinomial((2, 2), {})
+    [1, 1, 2, 1, 1]
+    """
+    k = len(parts)
+    while k and parts[:k] not in memo:
+        k -= 1
+    f = memo[parts[:k]] if k else [1]
+    for k in range(k, len(parts)):
+        t = sum(parts[:k])
+        for j in range(1, parts[k] + 1):
+            g = f + [0] * t
+            g[t + j:] = map(int.__sub__, g[t + j:], f)
+            for start in range(j):
+                g[start::j] = itertools.accumulate(g[start::j])
+            f = g
+        memo[parts[:k + 1]] = f
+    return f
+
+
+def descent_class_counts(
+    parts: Sequence[int], memo: dict[tuple[int, ...], list[int]] | None = None
+) -> tuple[list[int], list[int]]:
+    """
+    For a composition parts of n >= 2 (zero parts allowed): the number of
+    permutations with every descent among the partial sums of parts in each
+    class, as (n-before-1, 1-before-n) lists indexed by inversion number.
+
+    These permutations are the ordered set partitions of 1..n into
+    increasing blocks of sizes parts, counted by inversions by [n; parts]_q
+    (MacMahon).  With 1 in block a and n in block b, 1 precedes n iff
+    a <= b, the two letters add s = sum(parts[:a]) + sum(parts[b + 1:]) -
+    [b < a] inversions, and the others give [n - 2; parts - e_a - e_b]_q.
+    Parts (1,) * n give every class size.  memo keeps q-multinomials across
+    the calls that share it.
+
+    >>> descent_class_counts((2, 1))
+    ([0, 0, 1, 0], [1, 1, 0, 0])
+    """
+    n = sum(parts)
+    before = [0, *itertools.accumulate(parts)]
+    rests: dict[tuple[int, int, bool], tuple[int, ...]] = {}  # by the sizes of blocks a and b
+    ways: dict[tuple[bool, int, tuple[int, ...]], int] = {}
+    for a, b in itertools.product(range(len(parts)), repeat=2):
+        if parts[a] > (a == b) and parts[b]:
+            sizes = (parts[a], parts[b], a == b)
+            if sizes not in rests:
+                rest = list(parts)
+                rest[a] -= 1
+                rest[b] -= 1
+                rests[sizes] = tuple(sorted(filter(None, rest), reverse=True))
+            group = (a <= b, before[a] + n - before[b + 1] - (b < a), rests[sizes])
+            ways[group] = ways.get(group, 0) + 1
+    counts = ([0] * (n * (n - 1) // 2 + 1), [0] * (n * (n - 1) // 2 + 1))
+    memo = {} if memo is None else memo
+    for (one_first, s, rest), w in ways.items():
+        row, poly = counts[one_first], _q_multinomial(rest, memo)
+        row[s:s + len(poly)] = [x + w * c for x, c in zip(row[s:], poly)]
+    return counts
+
+
 def class_sizes(n: int) -> dict[ClassKey, int]:
     """
-    Every class size at size n, in closed form: with 1 and n at positions
-    a < b the other letters give [n-2]_q!, and the pair adds s = a - 1 + n - b
-    inversions (1 first) or 2n - 3 - s (n first), each in s + 1 ways.
+    Every class size at size n, in closed form: descent_class_counts of the
+    parts (1,) * n, which bound no descent.
 
     >>> list(class_sizes(3).values())
     [1, 2, 2, 1]
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    factorial = [1]  # coefficients of [n-2]_q!
-    for j in range(2, n - 1):
-        # times 1 + q + ... + q^(j-1): coefficient i sums a window of j
-        prefix, top = [0, *itertools.accumulate(factorial)], len(factorial)
-        factorial = [prefix[min(i + 1, top)] - prefix[max(0, i + 1 - j)] for i in range(top + j - 1)]
-    pad = 2 * n  # q^e sits at pad + e, with zeros around it
-    padded = [0] * pad + factorial + [0] * pad
-    return {
-        key: sum((s + 1) * padded[pad + key.inv - (s if key.one_before_n else 2 * n - 3 - s)] for s in range(n - 1))
-        for key in all_class_keys(n)
-    }
+    counts = descent_class_counts((1,) * n)
+    return {key: counts[key.one_before_n][key.inv] for key in all_class_keys(n)}
 
 
 def insert(w: Sequence[int], i: int) -> Perm:

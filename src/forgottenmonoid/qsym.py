@@ -2,10 +2,13 @@
 Sums of ribbon Schur functions, the Foata transform, and the ribbon
 expansion of forgotten-class sums.
 
-A sum of fundamentals F_D is kept as its histogram of descent sets D, which
-fixes it since the F_D are a basis.  Only for output is it evaluated in
-finitely many variables (n by default, which determine a degree-n function),
-as a plain map from exponent vectors to nonzero coefficients.
+A class's sum of fundamentals is evaluated in finitely many variables (n by
+default, which determine a degree-n function) in closed form by
+``class_qsym_sum``, as a plain map from exponent vectors to nonzero
+coefficients.  ``RibbonSum`` keeps a sum of fundamentals F_D as its
+histogram of descent sets D, which fixes it since the F_D are a basis; that
+path enumerates recoil classes and serves ``verify`` and the tests as an
+oracle.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import gt
+from itertools import repeat
+from operator import add, gt
 from typing import Iterable, Sequence
 
-from .forgotten import ClassKey
+from .forgotten import ClassKey, descent_class_counts
 from .perms import (
     Composition,
     check_composition,
@@ -228,6 +232,40 @@ class RibbonSum:
             if coeff:
                 terms[exponents] = coeff
         return terms
+
+
+def class_qsym_sum(key: ClassKey, num_vars: int) -> dict[tuple[int, ...], int]:
+    """
+    The class's sum of fundamentals in num_vars variables, equal to
+    ``ribbon_expansion(key).evaluate(num_vars)`` and in the same order, in
+    closed form.  The sum is symmetric, by the ribbon theorem, so x^e takes
+    the M coefficient of the partition sorted(e): descent_class_counts of
+    that partition at the key, computed once per partition, with one
+    q-multinomial memo per call.
+
+    The vectors are built from the last variable forwards, each tagged with
+    its multiset of entries as a sum of weights (num_vars + 1)^e, so no
+    vector is sorted.
+
+    >>> class_qsym_sum(ClassKey(3, 1, True), 2)
+    {(1, 2): 1, (2, 1): 1}
+    """
+    if num_vars < 1:
+        raise ValueError(f"need at least one variable, got {num_vars}")
+    n, memo = key.n, {}
+    weight = [(num_vars + 1) ** e for e in range(n + 1)]
+    # vectors[m]: the vectors over the variables left that sum to m, in
+    # lexicographic order; tags[m]: their multisets
+    vectors, tags = [[(m,)] for m in range(n + 1)], [[w] for w in weight]
+    for left in range(num_vars - 1, 0, -1):
+        sums = range(0 if left > 1 else n, n + 1)
+        vectors = [[v for e in range(m + 1) for v in map(add, repeat((e,)), vectors[m - e])] for m in sums]
+        tags = [[t for e in range(m + 1) for t in map(add, repeat(weight[e]), tags[m - e])] for m in sums]
+    coefficients = {
+        tag: descent_class_counts(tuple(sorted(filter(None, exponents), reverse=True)), memo)[key.one_before_n][key.inv]
+        for tag, exponents in dict(zip(tags[-1], vectors[-1])).items()
+    }
+    return {v: c for v, c in zip(vectors[-1], map(coefficients.get, tags[-1])) if c}
 
 
 def ribbon_expansion(key: ClassKey) -> RibbonSum:

@@ -627,6 +627,13 @@ def check_sign_pairing() -> Outcome:
 def check_ribbon_theorem(hi: int) -> Outcome:
     keys = 0
     for n in range(2, hi + 1):
+        # the closed form of every class at once, for each partition of n
+        memo: dict[tuple[int, ...], list[int]] = {}
+        closed = {
+            parts: forgotten.descent_class_counts(parts, memo)
+            for parts in all_compositions(n)
+            if list(parts) == sorted(parts, reverse=True)
+        }
         for members in closure_partition(n)[1]:
             key = class_key(min(members))
             keys += 1
@@ -637,13 +644,15 @@ def check_ribbon_theorem(hi: int) -> Outcome:
             coefficients = qsym.monomial_coefficients(histogram, n)
             if any(c != coefficients[tuple(sorted(parts))] for parts, c in coefficients.items()):
                 return _fail(f"class sum is not symmetric at n={n}", key)
+            if any(counts[key.one_before_n][key.inv] != coefficients[parts] for parts, counts in closed.items()):
+                return _fail(f"class sum differs from its q-multinomial closed form at n={n}", key)
             if n <= 6:
                 fundamentals: Counter[tuple[int, ...]] = Counter()
                 for member in members:
                     fundamentals.update(qsym._fundamental(n, frozenset(descent_set(member)), n))
                 if expansion.evaluate(n) != fundamentals:
                     return _fail(f"class sum differs from its ribbon sum at n={n}", key)
-    return f"{keys} class descent histograms match their ribbon sums and are symmetric (n <= {hi}; polynomials, n <= {min(hi, 6)})"
+    return f"{keys} class descent histograms match their ribbon sums and the q-multinomial closed form, and are symmetric (n <= {hi}; polynomials, n <= {min(hi, 6)})"
 
 
 @check("ribbon")

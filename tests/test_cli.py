@@ -8,8 +8,10 @@ from collections import Counter
 
 import pytest
 
-from forgottenmonoid import qsym, verify
-from forgottenmonoid.cli import CLOSURE_CAP, CONFLUENCE_LIMIT, CONFLUENCE_SCAN_CAP, LISTING_CAP, SHAPE_CAP, main
+from forgottenmonoid import cli, qsym, verify
+from forgottenmonoid.cli import (
+    CLOSURE_CAP, CONFLUENCE_LIMIT, CONFLUENCE_SCAN_CAP, LISTING_CAP, SHAPE_CAP, VARS_TERM_CAP, main,
+)
 from forgottenmonoid.perms import descent_set
 from forgottenmonoid.words import word_closure
 
@@ -304,6 +306,47 @@ class TestCaps:
         payload = json.loads(out)
         assert payload["vars"] == payload["key"]["n"] <= CLOSURE_CAP
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("key, m", [("10,20,1n", 10), ("20,95,1n", 6), ("16,60,n1", 7)])
+    def test_ribbons_vars_at_term_cap_within_a_second(self, capsys, key, m):
+        n = int(key.split(",")[0])
+        # the largest M allowed at this n: one more variable is past the cap
+        assert math.comb(n + m - 1, m - 1) <= VARS_TERM_CAP < math.comb(n + m, m)
+        for fmt in (["--json"], []):
+            started = time.perf_counter()
+            code, out, _ = run(capsys, "ribbons", "--key", key, "--vars", str(m), *fmt)
+            elapsed = time.perf_counter() - started
+            assert code == 0
+            assert elapsed < 1.0
+        assert out.splitlines()[-1].startswith(f"sum[m={m}]: +")
+
+    @pytest.mark.parametrize("key, m", [("17,60,1n", "7"), ("20,95,1n", "7"), ("11,25,1n", "11")])
+    def test_ribbons_vars_beyond_term_cap_needs_force(self, capsys, key, m):
+        code, out, err = run(capsys, "ribbons", "--key", key, "--vars", m, "--json")
+        assert code == 3
+        assert out == ""
+        assert "terms" in err and "--force" in err
+
+    def test_ribbons_vars_beyond_term_cap_runs_under_force(self, capsys):
+        # 100,947 exponent vectors, the fewest past the cap at n <= 20
+        code, out, _ = run(capsys, "ribbons", "--key", "17,60,1n", "--vars", "7", "--force", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["vars"] == 7
+        terms = payload["sum"]["terms"]
+        assert VARS_TERM_CAP // 2 < len(terms) <= math.comb(23, 6)
+        assert all(len(t["exp"]) == 7 and sum(t["exp"]) == 17 and t["coeff"] > 0 for t in terms)
+
+    def test_ribbons_term_cap_is_exact(self, capsys, monkeypatch):
+        terms = math.comb(9 + 9 - 1, 9 - 1)  # the benchmark's 9,18,1n probe
+        assert terms <= VARS_TERM_CAP
+        monkeypatch.setattr(cli, "VARS_TERM_CAP", terms)
+        code, out, _ = run(capsys, "ribbons", "--key", "9,18,1n", "--vars", "--json")
+        assert code == 0 and json.loads(out)["vars"] == 9
+        monkeypatch.setattr(cli, "VARS_TERM_CAP", terms - 1)
+        code, out, err = run(capsys, "ribbons", "--key", "9,18,1n", "--vars", "--json")
+        assert code == 3 and out == ""
+        assert err == f"domain error: {terms} terms in 9 variables beyond the cap {terms - 1} (use --force)\n"
 
     def test_class_of_largest_class_at_closure_cap_within_a_second(self, capsys):
         started = time.perf_counter()

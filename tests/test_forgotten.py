@@ -10,6 +10,7 @@ from forgottenmonoid.forgotten import (
     CanonicalForm,
     ClassKey,
     _key_pair,
+    _q_multinomial,
     all_class_keys,
     canonical_of,
     canonical_of_key,
@@ -18,6 +19,7 @@ from forgottenmonoid.forgotten import (
     class_members,
     class_sizes,
     classes_count,
+    descent_class_counts,
     coforgotten_equivalent,
     equivalent,
     form_from_inversions,
@@ -34,7 +36,9 @@ from forgottenmonoid.forgotten import (
 )
 from forgottenmonoid.perms import (
     ParseError,
+    all_compositions,
     all_permutations,
+    descent_set,
     inverse,
     inversion_number,
     is_lambda_shaped,
@@ -407,6 +411,45 @@ class TestClosedFormClasses:
             sizes = class_sizes(n)
             assert list(sizes) == all_class_keys(n)
             assert sum(sizes.values()) == math.factorial(n)
+
+    def test_sizes_equal_the_factorial_closed_form(self):
+        # with 1 and n at positions a < b the other letters give [n-2]_q!, and
+        # the pair adds s = a - 1 + n - b inversions (1 first) or 2n - 3 - s
+        # (n first), each in s + 1 ways
+        factorial = [1]
+        for n in range(2, 61):
+            if n > 3:  # times 1 + q + ... + q^(n-3)
+                prefix = [0, *itertools.accumulate(factorial)]
+                factorial = [prefix[min(i + 1, len(factorial))] - prefix[max(0, i + 3 - n)]
+                             for i in range(len(factorial) + n - 3)]
+            if n > 30 and n % 10:
+                continue
+            pad = [0] * (2 * n)
+            padded = pad + factorial + pad
+            expected = {
+                key: sum((s + 1) * padded[2 * n + key.inv - (s if key.one_before_n else 2 * n - 3 - s)]
+                         for s in range(n - 1))
+                for key in all_class_keys(n)
+            }
+            assert class_sizes(n) == expected, n
+
+    def test_descent_class_counts_match_scan_of_s_n(self):
+        for n in range(2, 7):
+            for parts in all_compositions(n):
+                cuts = set(itertools.accumulate(parts))
+                expected = ([0] * (math.comb(n, 2) + 1), [0] * (math.comb(n, 2) + 1))
+                for p in all_permutations(n):
+                    if descent_set(p) <= cuts:
+                        expected[p.index(1) < p.index(n)][inversion_number(p)] += 1
+                assert descent_class_counts(parts) == expected, parts
+                assert descent_class_counts((*parts, 0)) == expected, parts
+
+    def test_q_multinomials_count_word_inversions(self):
+        for parts in [(1,), (3,), (2, 2), (3, 1), (2, 1, 1), (3, 2, 2), (4, 2, 1), (2, 2, 1, 1)]:
+            letters = [letter for letter, size in enumerate(parts) for _ in range(size)]
+            counts = Counter(inversion_number(w) for w in set(itertools.permutations(letters)))
+            expected = [counts[i] for i in range(max(counts) + 1)]
+            assert _q_multinomial(parts, {}) == expected, parts
 
     def test_sizes_need_n_at_least_2(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from forgottenmonoid.perms import (
 )
 from forgottenmonoid.qsym import (
     RibbonSum,
+    class_qsym_sum,
     compositions_with_maj,
     descent_histogram,
     foata,
@@ -319,3 +320,47 @@ class TestClassSums:
     def test_wrong_expansion_fails_verify(self, monkeypatch):
         monkeypatch.setattr(qsym, "ribbon_expansion", lambda key: RibbonSum(key.n, frozenset({(key.n,)})))
         assert not verify.check_ribbon_theorem(max_n=4).passed
+
+
+class TestClassQsymSum:
+    """The closed form against the recoil-class histograms and BFS closures."""
+
+    def test_equals_evaluate_for_every_small_key(self):
+        for n in range(2, 8):
+            for key in all_class_keys(n):
+                expansion = ribbon_expansion(key)
+                for m in range(1, n + 1):
+                    terms = class_qsym_sum(key, m)
+                    expected = expansion.evaluate(m)
+                    assert terms == expected, (key, m)
+                    assert list(terms) == list(expected), (key, m)
+
+    def test_equals_bfs_class_sum(self):
+        for n in range(2, 7):
+            for key in all_class_keys(n):
+                for m in range(1, n + 1):
+                    assert class_qsym_sum(key, m) == class_sum(key, m), (key, m)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(8, 9).flatmap(
+        lambda n: st.tuples(st.sampled_from(all_class_keys(n)), st.integers(1, n))))
+    def test_equals_evaluate_at_n8_n9(self, case):
+        key, m = case
+        assert class_qsym_sum(key, m) == ribbon_expansion(key).evaluate(m)
+
+    def test_more_variables_than_n(self):
+        for key in all_class_keys(4):
+            assert class_qsym_sum(key, 6) == ribbon_expansion(key).evaluate(6)
+
+    def test_needs_a_variable(self):
+        for m in (0, -3):
+            with pytest.raises(ValueError, match=f"need at least one variable, got {m}"):
+                class_qsym_sum(ClassKey(4, 3, False), m)
+
+    def test_no_state_between_calls(self):
+        keys = [(key, m) for n in (5, 7) for key in all_class_keys(n)[::5] for m in (2, n)]
+        forward = [class_qsym_sum(key, m) for key, m in keys]
+        backward = [class_qsym_sum(key, m) for key, m in reversed(keys)]
+        assert forward == backward[::-1]
+        cached = {name for name, value in vars(qsym).items() if hasattr(value, "cache_info")}
+        assert cached == {"_fundamental", "_ribbons_by_recoil"}
