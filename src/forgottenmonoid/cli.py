@@ -51,10 +51,10 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: Callable[[], Iterable[str]]) -> int:
-    """Print the payload under --json, else the text lines, built only then."""
+def _emit(args: argparse.Namespace, payload: Callable[[], dict], lines: Callable[[], Iterable[str]]) -> int:
+    """Print the payload under --json, else the text lines; only the one printed is built."""
     if args.json:
-        print(json.dumps(payload, check_circular=False))  # every payload is a fresh tree
+        print(json.dumps(payload(), check_circular=False))  # every payload is a fresh tree
     else:
         for line in lines():
             print(line)
@@ -66,10 +66,9 @@ def _cmd_classes(args: argparse.Namespace) -> int:
     _require(n >= 2, f"need n >= 2, got {n}")
     _require(n <= LISTING_CAP or args.force, f"n={n} beyond the listing cap {LISTING_CAP} (use --force)")
     records = [(key, forgotten.canonical_of_key(key), size) for key, size in forgotten.class_sizes(n).items()]
-    payload = {"n": n, "classes": [
+    return _emit(args, lambda: {"n": n, "classes": [
         {"key": key.to_json_dict(), "canonical": canonical, "size": size} for key, canonical, size in records
-    ]}
-    return _emit(args, payload, lambda: (
+    ]}, lambda: (
         f"{key}  canonical={format_permutation(canonical)}  size={size}" for key, canonical, size in records
     ))
 
@@ -81,8 +80,9 @@ def _cmd_class_of(args: argparse.Namespace) -> int:
     key = forgotten.class_key(p)
     members = forgotten.class_members(key)
     canonical = forgotten.canonical_of_key(key)
-    payload = {"key": key.to_json_dict(), "canonical": canonical, "size": len(members), "members": members}
-    return _emit(args, payload, lambda: [
+    return _emit(args, lambda: {
+        "key": key.to_json_dict(), "canonical": canonical, "size": len(members), "members": members,
+    }, lambda: [
         f"key: {key}",
         f"canonical: {format_permutation(canonical)}",
         f"size: {len(members)}",
@@ -94,16 +94,16 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
     key = forgotten.parse_class_key(args.key)
     form = forgotten.form_of_key(key)
     word = forgotten.canonical_word(form)
-    payload = {"key": key.to_json_dict(), "canonical": word, "form": str(form)}
-    return _emit(args, payload, lambda: [f"canonical: {format_permutation(word)}", f"form: {form}"])
+    return _emit(args, lambda: {"key": key.to_json_dict(), "canonical": word, "form": str(form)},
+                 lambda: [f"canonical: {format_permutation(word)}", f"form: {form}"])
 
 
 def _cmd_insert(args: argparse.Namespace) -> int:
     w = parse_permutation(args.word)
     result = forgotten.insert(w, args.letter)
     form = forgotten.form_of_key(forgotten.class_key(result))
-    payload = {"result": result, "form": str(form)}
-    return _emit(args, payload, lambda: [f"result: {format_permutation(result)}", f"form: {form}"])
+    return _emit(args, lambda: {"result": result, "form": str(form)},
+                 lambda: [f"result: {format_permutation(result)}", f"form: {form}"])
 
 
 def _cmd_ribbons(args: argparse.Namespace) -> int:
@@ -115,7 +115,6 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
         key = forgotten.class_key(parse_permutation(args.perm))
     _require(key.n <= SHAPE_CAP or args.force, f"n={key.n} beyond the expansion cap {SHAPE_CAP} (use --force)")
     expansion = qsym.ribbon_expansion(key)
-    payload = {"key": key.to_json_dict(), "compositions": sorted(expansion.compositions)}
     total = None
     if args.vars is not None:
         num_vars = args.vars or key.n
@@ -124,11 +123,14 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
             terms = math.comb(key.n + num_vars - 1, num_vars - 1)
             _require(terms <= VARS_TERM_CAP, f"{terms} terms in {num_vars} variables beyond the cap {VARS_TERM_CAP} (use --force)")
         total = qsym.class_qsym_sum(key, num_vars)
-        payload["vars"] = num_vars
-        # total lists its vectors in lexicographic order, and json writes tuples as lists
-        payload["sum"] = {"m": num_vars, "degree": key.n, "terms": [
-            {"exp": exponents, "coeff": coeff} for exponents, coeff in total.items()
-        ]}
+
+    def payload() -> dict:
+        out = {"key": key.to_json_dict(), "compositions": sorted(expansion.compositions)}
+        if total is not None:
+            # total lists its vectors in lexicographic order, and json writes tuples as lists
+            terms = [{"exp": exponents, "coeff": coeff} for exponents, coeff in total.items()]
+            out.update(vars=num_vars, sum={"m": num_vars, "degree": key.n, "terms": terms})
+        return out
 
     def lines() -> Iterator[str]:
         yield str(expansion)
@@ -147,8 +149,7 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
 def _cmd_transform(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
     image = args.transform(p)
-    payload = {"input": p, "result": image}
-    return _emit(args, payload, lambda: [format_permutation(image)])
+    return _emit(args, lambda: {"input": p, "result": image}, lambda: [format_permutation(image)])
 
 
 def _cmd_commute(args: argparse.Namespace) -> int:
@@ -161,8 +162,7 @@ def _cmd_commute(args: argparse.Namespace) -> int:
             f"degree sum {args.i + args.j} beyond the cap {COMMUTE_DEGREE_CAP} (use --force)",
         )
     commutes = words.commute_check(args.i, args.j, q)
-    payload = {"i": args.i, "j": args.j, "alphabet": q, "commutes": commutes}
-    return _emit(args, payload, lambda: [
+    return _emit(args, lambda: {"i": args.i, "j": args.j, "alphabet": q, "commutes": commutes}, lambda: [
         f"e_{args.i} e_{args.j} {'=' if commutes else '!='} e_{args.j} e_{args.i} over 1..{q}"
     ])
 
@@ -176,11 +176,10 @@ def _cmd_confluence(args: argparse.Namespace) -> int:
         _require(all(s <= CONFLUENCE_SCAN_CAP for s in scanned),
                  f"more than {CONFLUENCE_SCAN_CAP} words to scan (use --force)")
     found = words.orientation_counterexamples(max_len, q, limit=args.limit)
-    payload = {
-        "alphabet": q,
-        "maxLen": max_len,
-        "counterexamples": [{"word": w, "endpoints": endpoints} for w, endpoints in found],
-    }
+
+    def payload() -> dict:
+        counterexamples = [{"word": w, "endpoints": endpoints} for w, endpoints in found]
+        return {"alphabet": q, "maxLen": max_len, "counterexamples": counterexamples}
 
     def lines() -> Iterator[str]:
         if not found:
@@ -197,8 +196,9 @@ def _cmd_confluence(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = verify.run_suite(args.suite, max_n=args.max_n, force=args.force)
     passed = sum(r.passed for r in results)
-    payload = {"suite": args.suite, "passed": passed == len(results), "checks": [dataclasses.asdict(r) for r in results]}
-    _emit(args, payload, lambda: [*(r.line() for r in results), f"{passed}/{len(results)} checks passed"])
+    _emit(args, lambda: {
+        "suite": args.suite, "passed": passed == len(results), "checks": [dataclasses.asdict(r) for r in results],
+    }, lambda: [*(r.line() for r in results), f"{passed}/{len(results)} checks passed"])
     return EXIT_OK if passed == len(results) else EXIT_VIOLATION
 
 

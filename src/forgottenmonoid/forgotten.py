@@ -24,6 +24,7 @@ from .perms import (
     DECIMAL,
     Perm,
     ParseError,
+    _subsets_with_sum,
     avoids_pattern,
     check_permutation,
     inverse,
@@ -430,40 +431,33 @@ def insert(w: Sequence[int], i: int) -> Perm:
 def lambda_members(key: ClassKey) -> set[Perm]:
     """
     All lambda-shaped permutations in the keyed class.  A lambda word is
-    fixed by the set of letters on its rising side (the peak n included),
-    and its inversion count is C(n, 2) minus the sum of n - x over the
-    rising letters x below n.
+    fixed by its rising letters (the peak n included), and its inversion
+    count is C(n, 2) minus the sum of the gaps n - x over the rising
+    letters x below n: a subset of 1..n-1 with a fixed sum.
     """
     n = key.n
-    deficit = math.comb(n, 2) - key.inv
     members: set[Perm] = set()
-    for bits in range(1 << (n - 1)):
-        rising = [x for x in range(1, n) if bits >> (x - 1) & 1]
-        if (1 in rising) != key.one_before_n:
-            continue
-        if sum(n - x for x in rising) != deficit:
-            continue
-        rest = sorted(set(range(1, n)) - set(rising), reverse=True)
-        members.add(tuple(rising) + (n,) + tuple(rest))
+    for gaps in _subsets_with_sum(n - 1, math.comb(n, 2) - key.inv):
+        rising = [n - g for g in reversed(gaps)]
+        if (1 in rising) == key.one_before_n:
+            rest = sorted(set(range(1, n)) - set(rising), reverse=True)
+            members.add(tuple(rising) + (n,) + tuple(rest))
     return members
 
 
 def v_members(key: ClassKey) -> set[Perm]:
     """
-    All v-shaped permutations in the keyed class.  A v word is fixed by the
-    set of letters on its falling side (the valley 1 included), and each
-    falling letter x contributes x - 1 inversions.
+    All v-shaped permutations in the keyed class.  A v word is fixed by its
+    falling letters (the valley 1 included), whose drops x - 1 are a subset
+    of 1..n-1 summing to the inversion count.
     """
     n = key.n
     members: set[Perm] = set()
-    for bits in range(1 << (n - 1)):
-        falling = [x for x in range(2, n + 1) if bits >> (x - 2) & 1]
-        if (n in falling) == key.one_before_n:
-            continue
-        if sum(x - 1 for x in falling) != key.inv:
-            continue
-        rest = sorted(set(range(2, n + 1)) - set(falling))
-        members.add(tuple(sorted(falling, reverse=True)) + (1,) + tuple(rest))
+    for drops in _subsets_with_sum(n - 1, key.inv):
+        falling = [d + 1 for d in drops]
+        if (n in falling) != key.one_before_n:
+            rest = sorted(set(range(2, n + 1)) - set(falling))
+            members.add(tuple(reversed(falling)) + (1,) + tuple(rest))
     return members
 
 

@@ -266,6 +266,27 @@ def sweep(n: int) -> Iterator[tuple[Perm, int, bool]]:
     )
 
 
+def _subsets_with_sum(m: int, total: int) -> list[list[int]]:
+    """Every subset of 1..m that sums to total, as an increasing list, built
+    largest element first: y is taken only while the remainder left after
+    it is at most 1 + 2 + .. + (y - 1), so every branch ends in a hit."""
+    found: list[list[int]] = []
+    chosen: list[int] = []  # largest first
+
+    def extend(remainder: int, largest: int) -> None:
+        if remainder == 0:
+            found.append(chosen[::-1])
+        for y in range(min(largest, remainder), 0, -1):
+            if remainder - y > y * (y - 1) // 2:
+                break
+            chosen.append(y)
+            extend(remainder - y, y - 1)
+            chosen.pop()
+
+    extend(total, m)
+    return found
+
+
 def all_compositions(n: int) -> Iterator[Composition]:
     """All 2^(n-1) compositions of n."""
     for r in range(n):

@@ -18,12 +18,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import add, gt
+from operator import add, gt, sub
 from typing import Iterable, Sequence
 
 from .forgotten import ClassKey, descent_class_counts
 from .perms import (
     Composition,
+    _subsets_with_sum,
     check_composition,
     check_permutation,
     composition_from_subset,
@@ -37,8 +38,8 @@ def _fundamental(n: int, descents: frozenset[int], num_vars: int) -> Counter[tup
     Gessel's fundamental F_D in num_vars variables, as its monomials'
     exponent vectors: one per weakly increasing index sequence that
     increases strictly at every position of D.  ``verify`` sums these over
-    BFS classes as an oracle for ``RibbonSum.evaluate`` that shares nothing
-    with the histogram path.  Do not mutate.
+    BFS classes as an oracle for ``class_qsym_sum`` that shares nothing
+    with its closed form.  Do not mutate.
 
     >>> sorted(_fundamental(2, frozenset(), 2).items())
     [((0, 2), 1), ((1, 1), 1), ((2, 0), 1)]
@@ -159,12 +160,8 @@ def ns_map(p: Sequence[int]) -> tuple[int, ...]:
 
 def compositions_with_maj(n: int, maj: int) -> set[Composition]:
     """
-    All compositions of n with the given major index.
-
-    The major index of a composition is the sum of its partial sums below n,
-    so the hits are the subsets of 1..n-1 that sum to maj.  They are built
-    largest part first, and a part y is taken only while the remainder left
-    after it is at most 1 + 2 + .. + (y - 1), so every branch ends in a hit.
+    All compositions of n with the given major index, the sum of their
+    partial sums below n: those are the subsets of 1..n-1 summing to maj.
 
     >>> sorted(compositions_with_maj(5, 3))
     [(1, 1, 3), (3, 2)]
@@ -173,24 +170,7 @@ def compositions_with_maj(n: int, maj: int) -> set[Composition]:
         raise ValueError(f"n must be positive, got {n}")
     if maj < 0:
         raise ValueError(f"major index must be nonnegative, got {maj}")
-    found: set[Composition] = set()
-    cuts: list[int] = []  # partial sums, largest first
-
-    def extend(remainder: int, largest: int) -> None:
-        if remainder == 0:
-            ascending = cuts[::-1]
-            found.add(tuple(b - a for a, b in zip([0, *ascending], [*ascending, n])))
-            return
-        for y in range(min(largest, remainder), 0, -1):
-            if remainder - y > y * (y - 1) // 2:
-                break
-            cuts.append(y)
-            extend(remainder - y, y - 1)
-            cuts.pop()
-
-    if maj <= n * (n - 1) // 2:
-        extend(maj, n - 1)
-    return found
+    return {tuple(map(sub, [*cuts, n], [0, *cuts])) for cuts in _subsets_with_sum(n - 1, maj)}
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,8 @@ def commute_check(i: int, j: int, alphabet_size: int) -> bool:
         raise ValueError(f"degrees must be positive, got ({i}, {j})")
     if alphabet_size < 1:
         raise ValueError(f"alphabet size must be positive, got {alphabet_size}")
+    if alphabet_size > 255:
+        raise ValueError(f"letters are coded as bytes, so at most 255 of them, got {alphabet_size}")
     alphabet = range(alphabet_size, 0, -1)
     e_i = list(itertools.combinations(alphabet, i))
     e_j = list(itertools.combinations(alphabet, j))

@@ -203,6 +203,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "commute", "2", "3", "--alphabet", "6")
         assert code == 3
 
+    def test_commute_alphabet_beyond_a_byte(self, capsys):
+        code, out, err = run(capsys, "commute", "2", "1", "--alphabet", "256", "--force")
+        assert (code, out) == (3, "")
+        assert err == "domain error: letters are coded as bytes, so at most 255 of them, got 256\n"
+
     def test_key_out_of_range_is_domain_error(self, capsys):
         code, _, err = run(capsys, "canonical", "--key", "5,9,1n")
         assert code == 3

@@ -315,6 +315,31 @@ class TestShapeMembers:
                 assert lambda_members(key) == scan_l
                 assert v_members(key) == scan_v
 
+    def test_against_all_subsets(self):
+        # oracles: filter all 2^(n-1) sets of rising (falling) letters by sign and inversions
+        def lambda_filter(key):
+            n, members = key.n, set()
+            for bits in range(1 << (n - 1)):
+                rising = [x for x in range(1, n) if bits >> (x - 1) & 1]
+                if (1 in rising) == key.one_before_n and sum(n - x for x in rising) == math.comb(n, 2) - key.inv:
+                    rest = sorted(set(range(1, n)) - set(rising), reverse=True)
+                    members.add(tuple(rising) + (n,) + tuple(rest))
+            return members
+
+        def v_filter(key):
+            n, members = key.n, set()
+            for bits in range(1 << (n - 1)):
+                falling = [x for x in range(2, n + 1) if bits >> (x - 2) & 1]
+                if (n in falling) != key.one_before_n and sum(x - 1 for x in falling) == key.inv:
+                    rest = sorted(set(range(2, n + 1)) - set(falling))
+                    members.add(tuple(sorted(falling, reverse=True)) + (1,) + tuple(rest))
+            return members
+
+        for n in range(7, 12):
+            for key in all_class_keys(n):
+                assert lambda_members(key) == lambda_filter(key), key
+                assert v_members(key) == v_filter(key), key
+
     def test_every_class_has_both_shapes(self):
         for n in range(2, 8):
             for key in all_class_keys(n):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from forgottenmonoid.perms import (
     ParseError,
+    _subsets_with_sum,
     all_permutations,
     avoids_pattern,
     complement,
@@ -149,6 +150,15 @@ class TestCompositions:
         parts = composition_from_subset(subset, n)
         assert sum(parts) == n
         assert set(itertools.accumulate(parts[:-1])) == subset
+
+    def test_subsets_with_sum_against_all_subsets(self):
+        for m in range(13):
+            by_sum: dict[int, list[list[int]]] = {}
+            for r in range(m + 1):
+                for subset in itertools.combinations(range(1, m + 1), r):
+                    by_sum.setdefault(sum(subset), []).append(list(subset))
+            for total in range(-1, m * (m + 1) // 2 + 2):
+                assert sorted(_subsets_with_sum(m, total)) == sorted(by_sum.get(total, [])), (m, total)
 
     def test_descent_composition_is_runs(self):
         assert descent_composition(tuple(range(1, 6))) == (5,)

@@ -321,6 +321,13 @@ class TestClassSums:
         monkeypatch.setattr(qsym, "ribbon_expansion", lambda key: RibbonSum(key.n, frozenset({(key.n,)})))
         assert not verify.check_ribbon_theorem(max_n=4).passed
 
+    def test_dropped_term_fails_verify(self, monkeypatch):
+        closed_form = qsym.class_qsym_sum
+        monkeypatch.setattr(qsym, "class_qsym_sum", lambda key, m: dict(list(closed_form(key, m).items())[1:]))
+        results = {r.name: r for r in verify.run_suite("ribbon", max_n=4)}
+        assert not results["ribbon_theorem"].passed
+        assert "class sum differs from its ribbon sum" in results["ribbon_theorem"].detail
+
 
 class TestClassQsymSum:
     """The closed form against the recoil-class histograms and BFS closures."""

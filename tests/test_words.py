@@ -177,6 +177,9 @@ class TestNCPolynomial:
         for q in (0, -1):
             with pytest.raises(ValueError):
                 commute_check(1, 2, q)
+        # letters are coded as bytes; refused even where no normal form is taken
+        with pytest.raises(ValueError, match="at most 255 of them, got 256"):
+            commute_check(1, 1, 256)
 
     def test_product_expansion(self):
         e1 = elementary(1, 2)
