@@ -103,7 +103,10 @@ def equivalent(p: Sequence[int], q: Sequence[int]) -> bool:
     """True iff p and q lie in the same forgotten class (same key)."""
     if len(p) != len(q):
         raise ValueError(f"size mismatch: {len(p)} vs {len(q)}")
-    return class_key(p) == class_key(q)
+    p = check_permutation(p)
+    if len(p) < 2:
+        raise ValueError("class keys need permutations of size >= 2")
+    return _key_pair(p) == _key_pair(check_permutation(q))
 
 
 @dataclass(frozen=True)
@@ -159,14 +162,11 @@ def canonical_word(form: CanonicalForm) -> Perm:
     >>> canonical_word(CanonicalForm("tau", 1, 4, 5))
     (4, 5, 3, 2, 1)
     """
-    n = form.n
-    rising = list(range(1 if form.family == "sigma" else 2, form.k + 1))
-    if form.a == n:
-        rising.append(n)
-    else:
-        rising += [form.a, n]
-    rest = sorted(set(range(1, n + 1)) - set(rising), reverse=True)
-    return tuple(rising + rest)
+    n, k, a = form.n, form.k, form.a
+    rising = range(1 if form.family == "sigma" else 2, k + 1)
+    peak = (n,) if a == n else (a, n)
+    tail = (1,) if form.family == "tau" else ()
+    return (*rising, *peak, *range(n - 1, a, -1), *range(a - 1, k, -1), *tail)
 
 
 def form_inversions(form: CanonicalForm) -> int:
@@ -196,21 +196,17 @@ def form_from_inversions(family: str, inv: int, n: int) -> CanonicalForm:
         raise ValueError(f"inversion count {inv} outside [{lo}, {hi}] for {family} at n={n}")
     if family == "sigma":
         # inv splits as C(m, 2) + b with 0 <= b < m against the largest
-        # triangular number; the form is then (n - m - 1, n + b - m).
-        m = 1
-        while math.comb(m + 1, 2) <= inv:
-            m += 1
-        b = inv - math.comb(m, 2)
-        return CanonicalForm("sigma", n - m - 1, n + b - m, n)
+        # triangular number, m(m - 1) <= 2 inv; the form is then
+        # (n - m - 1, n + b - m).
+        m = (1 + math.isqrt(8 * inv + 1)) // 2
+        return CanonicalForm("sigma", n - m - 1, n + inv - math.comb(m, 2) - m, n)
     # tau ranges tile differently: for each m = n - k the reachable counts
-    # are C(m, 2) + n - m .. C(m, 2) + n - 2, plus the decreasing word on top.
+    # are C(m, 2) + n - m .. C(m, 2) + n - 2, plus the decreasing word on top;
+    # m is the largest with C(m, 2) - m <= inv - n, that is m(m - 3) <= 2(inv - n).
     if inv == math.comb(n, 2):
         return CanonicalForm("tau", 1, n, n)
-    for m in range(2, n):
-        base = math.comb(m, 2)
-        if base + n - m <= inv <= base + n - 2:
-            return CanonicalForm("tau", n - m, inv - base + 1, n)
-    raise AssertionError(f"no tau form for inv={inv}, n={n}")
+    m = (3 + math.isqrt(8 * (inv - n) + 9)) // 2
+    return CanonicalForm("tau", n - m, inv - math.comb(m, 2) + 1, n)
 
 
 def form_of_key(key: ClassKey) -> CanonicalForm:
@@ -403,8 +399,9 @@ def insert(w: Sequence[int], i: int) -> Perm:
     is inv(w) + n - 1 - i; the family flips exactly for i = 0 out of sigma
     and i = n - 1 out of tau.
 
-    Canonicity of w is checked by closed form, w == canonical_of(w): the
-    lexicographically minimal word of a class is its unique pattern avoider.
+    Canonicity of w is checked by closed form, against the canonical word
+    of w's own key: the lexicographically minimal word of a class is its
+    unique pattern avoider.  w is validated and its inversions counted once.
     The whole insertion is O(n log n) comparisons.
 
     >>> insert((1, 3, 6, 5, 4, 2), 0)
@@ -416,16 +413,16 @@ def insert(w: Sequence[int], i: int) -> Perm:
     n = len(w) + 1
     if not w:
         raise ValueError("cannot insert into the empty word")
-    if len(w) > 1 and w != canonical_of(w):
+    inv, from_sigma = _key_pair(w) if len(w) > 1 else (0, True)
+    if len(w) > 1 and w != canonical_of_key(ClassKey(len(w), inv, from_sigma)):
         raise ValueError(f"{w!r} is not a canonical word")
     if not 0 <= i <= n - 1:
         raise ValueError(f"inserted letter {i} outside 0..{n - 1}")
-    from_sigma = len(w) == 1 or w.index(1) < w.index(len(w))
     if from_sigma:
         family = "tau" if i == 0 else "sigma"
     else:
         family = "sigma" if i == n - 1 else "tau"
-    return canonical_word(form_from_inversions(family, inversion_number(w) + n - 1 - i, n))
+    return canonical_word(form_from_inversions(family, inv + n - 1 - i, n))
 
 
 def lambda_members(key: ClassKey) -> set[Perm]:
@@ -465,10 +462,14 @@ def next_lambda_down(p: Sequence[int]) -> Perm | None:
     """
     One step of the lambda rewriting walk: a lexicographically smaller
     lambda-shaped permutation with the same key, or None when p is already
-    canonical.  Pick the largest rising letter b whose predecessor is missing
-    from the rising side and that is followed there by some c < n; if some
-    letter d > c is missing from the rising side, trade the pair (b, d-1)
-    for (b-1, d), otherwise lower b and drop n-1 from the rising side.
+    canonical.  The step is read off the rising prefix, which ends in the
+    peak n: b is its largest letter before the last one below n whose
+    predecessor b - 1 is a falling letter other than 1, and c..e is the run
+    of consecutive rising letters after b.  Swapping the values b - 1 and b
+    takes one inversion off; swapping the values e and e + 1 when e + 1 < n,
+    or else the adjacent letters n - 1 and n, puts it back.  Each swap moves
+    a letter by one to a value absent from its side, so both sides stay
+    monotone.  No such b means p is canonical.
 
     >>> next_lambda_down((1, 3, 5, 6, 7, 8, 4, 2))
     (1, 3, 4, 6, 8, 7, 5, 2)
@@ -479,27 +480,23 @@ def next_lambda_down(p: Sequence[int]) -> Perm | None:
     if not is_lambda_shaped(p):
         raise ValueError(f"{p!r} is not lambda-shaped")
     n = len(p)
-    rising = set(p[: p.index(n) + 1])
-    floor = 1 if 1 in rising else 2
-    candidates = [
-        b
-        for b in rising
-        if floor < b < n and b - 1 not in rising and any(b < c < n for c in rising)
-    ]
-    if not candidates:
+    peak = p.index(n)
+    i = peak - 2
+    while i > 0 and p[i - 1] == p[i] - 1:
+        i -= 1
+    if i < 0 or p[i] < 3:
         return None
-    b = max(candidates)
-    c = min(x for x in rising if b < x < n)
-    d = next((x for x in range(c + 1, n) if x not in rising), None)
-    rising.discard(b)
-    rising.add(b - 1)
-    if d is None:
-        rising.discard(n - 1)
+    j = i + 1
+    while j < peak - 1 and p[j + 1] == p[j] + 1:
+        j += 1
+    b, e = p[i], p[j]
+    q = list(p)
+    q[i], q[q.index(b - 1, peak)] = b - 1, b
+    if e + 1 < n:
+        q[j], q[q.index(e + 1, peak)] = e + 1, e
     else:
-        rising.discard(d - 1)
-        rising.add(d)
-    rest = sorted(set(range(1, n + 1)) - rising, reverse=True)
-    return tuple(sorted(rising) + rest)
+        q[peak - 1], q[peak] = n, n - 1
+    return tuple(q)
 
 
 def coforgotten_equivalent(p: Sequence[int], q: Sequence[int]) -> bool:

@@ -10,7 +10,8 @@ import pytest
 
 from forgottenmonoid import cli, qsym, verify
 from forgottenmonoid.cli import (
-    CLOSURE_CAP, CONFLUENCE_LIMIT, CONFLUENCE_SCAN_CAP, LISTING_CAP, SHAPE_CAP, VARS_TERM_CAP, main,
+    CANONICAL_CAP, CLOSURE_CAP, CONFLUENCE_LIMIT, CONFLUENCE_SCAN_CAP, LISTING_CAP, SHAPE_CAP, VARS_TERM_CAP,
+    main,
 )
 from forgottenmonoid.perms import descent_set
 from forgottenmonoid.words import word_closure
@@ -172,6 +173,20 @@ class TestCommands:
         forced = payload["checks"][1]
         assert isinstance(forced.pop("elapsed"), float)
         assert forced == {"name": "forced", "passed": False, "detail": "forced failure", "counterexample": "(2, 1)"}
+
+    @pytest.mark.parametrize("argv", [
+        ("classes", "--n", "6"),
+        ("canonical", "--key", "8,10,n1", "--json"),
+        ("insert", "13452", "0"),
+        ("class-of", "1,1,2"),
+    ])
+    def test_profile_leaves_stdout_and_exit_code(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        profiled_code, profiled_out, profiled_err = run(capsys, "--profile", *argv)
+        assert (profiled_code, profiled_out) == (code, out)
+        assert profiled_err.startswith(err)
+        assert "ncalls" in profiled_err and "cumulative" in profiled_err
+        assert "ncalls" not in err
 
     def test_consecutive_calls_keep_their_own_options(self, capsys):
         # one parser serves every call: a --json call leaves nothing behind
@@ -352,6 +367,33 @@ class TestCaps:
         code, out, err = run(capsys, "ribbons", "--key", "9,18,1n", "--vars", "--json")
         assert code == 3 and out == ""
         assert err == f"domain error: {terms} terms in 9 variables beyond the cap {terms - 1} (use --force)\n"
+
+    @pytest.mark.parametrize("key, form", [
+        (f"{CANONICAL_CAP},0,1n", f"sigma({CANONICAL_CAP - 2},{CANONICAL_CAP - 1};n={CANONICAL_CAP})"),
+        (f"{CANONICAL_CAP},{math.comb(CANONICAL_CAP, 2)},n1", f"tau(1,{CANONICAL_CAP};n={CANONICAL_CAP})"),
+    ])
+    def test_canonical_at_cap_within_a_second(self, capsys, key, form):
+        for fmt in (["--json"], []):
+            started = time.perf_counter()
+            code, out, _ = run(capsys, "canonical", "--key", key, *fmt)
+            elapsed = time.perf_counter() - started
+            assert code == 0
+            assert elapsed < 1.0
+        assert out.endswith(f"\nform: {form}\n")
+
+    @pytest.mark.parametrize("n", [CANONICAL_CAP + 1, 10 ** 100])
+    def test_canonical_beyond_cap_refused_at_once(self, capsys, n):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "canonical", "--key", f"{n},0,1n")
+        elapsed = time.perf_counter() - started
+        assert (code, out) == (3, "")
+        assert err == f"domain error: n={n} beyond the canonical cap {CANONICAL_CAP} (use --force)\n"
+        assert elapsed < 0.5
+
+    def test_canonical_beyond_cap_runs_under_force(self, capsys):
+        code, out, _ = run(capsys, "canonical", "--key", f"{CANONICAL_CAP + 1},0,1n", "--force", "--json")
+        assert code == 0
+        assert len(json.loads(out)["canonical"]) == CANONICAL_CAP + 1
 
     def test_class_of_largest_class_at_closure_cap_within_a_second(self, capsys):
         started = time.perf_counter()

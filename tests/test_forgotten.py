@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 from collections import Counter
 
@@ -38,6 +39,7 @@ from forgottenmonoid.perms import (
     ParseError,
     all_compositions,
     all_permutations,
+    check_permutation,
     descent_set,
     inverse,
     inversion_number,
@@ -57,6 +59,62 @@ PAPER_CLASS_N5 = {
 
 def digits(p):
     return "".join(map(str, p))
+
+
+def set_based_lambda_step(p):
+    """Oracle for next_lambda_down: the step built from sets and sorts."""
+    p = check_permutation(p)
+    if not is_lambda_shaped(p):
+        raise ValueError(f"{p!r} is not lambda-shaped")
+    n = len(p)
+    rising = set(p[: p.index(n) + 1])
+    floor = 1 if 1 in rising else 2
+    candidates = [
+        b for b in rising if floor < b < n and b - 1 not in rising and any(b < c < n for c in rising)
+    ]
+    if not candidates:
+        return None
+    b = max(candidates)
+    c = min(x for x in rising if b < x < n)
+    d = next((x for x in range(c + 1, n) if x not in rising), None)
+    rising.discard(b)
+    rising.add(b - 1)
+    if d is None:
+        rising.discard(n - 1)
+    else:
+        rising.discard(d - 1)
+        rising.add(d)
+    rest = sorted(set(range(1, n + 1)) - rising, reverse=True)
+    return tuple(sorted(rising) + rest)
+
+
+def linear_search_form(family, inv, n):
+    """Oracle for form_from_inversions on its domain: the ranges searched in turn."""
+    if family == "sigma":
+        m = 1
+        while math.comb(m + 1, 2) <= inv:
+            m += 1
+        b = inv - math.comb(m, 2)
+        return CanonicalForm("sigma", n - m - 1, n + b - m, n)
+    if inv == math.comb(n, 2):
+        return CanonicalForm("tau", 1, n, n)
+    for m in range(2, n):
+        base = math.comb(m, 2)
+        if base + n - m <= inv <= base + n - 2:
+            return CanonicalForm("tau", n - m, inv - base + 1, n)
+    raise AssertionError(f"no tau form for inv={inv}, n={n}")
+
+
+def set_difference_word(form):
+    """Oracle for canonical_word: the falling letters as a sorted set difference."""
+    n = form.n
+    rising = list(range(1 if form.family == "sigma" else 2, form.k + 1))
+    rising += [n] if form.a == n else [form.a, n]
+    return tuple(rising + sorted(set(range(1, n + 1)) - set(rising), reverse=True))
+
+
+def lambda_word(n, rising):
+    return tuple(rising) + (n,) + tuple(sorted(set(range(1, n)) - set(rising), reverse=True))
 
 
 class TestElementaryMoves:
@@ -148,6 +206,19 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             equivalent((1, 2), (1, 2, 3))
 
+    @pytest.mark.parametrize("p, q, message", [
+        ((1, 2), (1, 2, 3), "size mismatch: 2 vs 3"),
+        ((1, 3), (1, 2), "not a permutation of 1..2: (1, 3)"),
+        ((2, 1), (2, 2), "not a permutation of 1..2: (2, 2)"),
+        ((1,), (1,), "class keys need permutations of size >= 2"),
+        ((1,), (2,), "class keys need permutations of size >= 2"),
+        ((), (), "class keys need permutations of size >= 2"),
+    ])
+    def test_error_texts(self, p, q, message):
+        # p is validated and sized before q is read
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            equivalent(p, q)
+
     def test_agrees_with_closure_at_n5(self):
         # the key shortcut against the breadth-first oracle
         for p in all_permutations(5):
@@ -205,6 +276,19 @@ class TestCanonicalForms:
                     assert form_inversions(form) == inv
                 for form in normalized_forms(n, family):
                     assert form_from_inversions(family, form_inversions(form), n) == form
+
+    def test_form_from_inversions_against_linear_search(self):
+        for n in range(2, 81):
+            for family in ("sigma", "tau"):
+                lo, hi = inv_bounds(n, family == "sigma")
+                for inv in range(lo, hi + 1):
+                    assert form_from_inversions(family, inv, n) == linear_search_form(family, inv, n)
+
+    def test_canonical_word_against_set_difference(self):
+        for n in range(2, 31):
+            for family in ("sigma", "tau"):
+                for form in normalized_forms(n, family):
+                    assert canonical_word(form) == set_difference_word(form), form
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -363,6 +447,19 @@ class TestLambdaWalk:
     def test_rejects_non_lambda(self):
         with pytest.raises(ValueError):
             next_lambda_down((3, 1, 4, 2))
+
+    def test_against_set_based_step_exhaustive(self):
+        for n in range(1, 15):
+            for bits in range(1 << (n - 1)):
+                p = lambda_word(n, [x for x in range(1, n) if bits >> (x - 1) & 1])
+                assert next_lambda_down(p) == set_based_lambda_step(p), p
+
+    def test_against_set_based_step_random(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            n = rng.randint(15, 60)
+            p = lambda_word(n, [x for x in range(1, n) if rng.random() < 0.5])
+            assert next_lambda_down(p) == set_based_lambda_step(p), p
 
     @pytest.mark.parametrize("bad", [(1, 4, 2), (1, 3, 1)])
     def test_rejects_a_non_permutation(self, bad):
