@@ -18,6 +18,7 @@ from .forgotten import (
     form_from_inversions,
     form_inversions,
     insert,
+    insert_form,
     is_canonical,
     lambda_members,
     lex_enumerate,

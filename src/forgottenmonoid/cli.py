@@ -104,8 +104,8 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
 
 def _cmd_insert(args: argparse.Namespace) -> int:
     w = parse_permutation(args.word)
-    result = forgotten.insert(w, args.letter)
-    form = forgotten.form_of_key(forgotten.class_key(result))
+    form = forgotten.insert_form(w, args.letter)
+    result = forgotten.canonical_word(form)
     return _emit(args, lambda: {"result": result, "form": str(form)},
                  lambda: [f"result: {format_permutation(result)}", f"form: {form}"])
 

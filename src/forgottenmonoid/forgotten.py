@@ -27,6 +27,7 @@ from .perms import (
     _subsets_with_sum,
     avoids_pattern,
     check_permutation,
+    complement,
     inverse,
     inversion_number,
     is_lambda_shaped,
@@ -391,23 +392,20 @@ def class_sizes(n: int) -> dict[ClassKey, int]:
     return {key: counts[key.one_before_n][key.inv] for key in all_class_keys(n)}
 
 
-def insert(w: Sequence[int], i: int) -> Perm:
+def insert_form(w: Sequence[int], i: int) -> CanonicalForm:
     """
-    Insert letter i (0 <= i <= n-1) into a canonical word of size n-1,
-    producing the canonical word of size n whose class also contains the
-    standardization of w with i appended.  The inversion count of the result
-    is inv(w) + n - 1 - i; the family flips exactly for i = 0 out of sigma
-    and i = n - 1 out of tau.
+    Insert letter i (0 <= i <= n-1) into a canonical word of size n-1: the
+    form of the canonical word of size n whose class also contains the
+    standardization of w with i appended.  Its inversion count is
+    inv(w) + n - 1 - i; the family flips exactly for i = 0 out of sigma and
+    i = n - 1 out of tau.
 
     Canonicity of w is checked by closed form, against the canonical word
     of w's own key: the lexicographically minimal word of a class is its
     unique pattern avoider.  w is validated and its inversions counted once.
-    The whole insertion is O(n log n) comparisons.
 
-    >>> insert((1, 3, 6, 5, 4, 2), 0)
-    (2, 4, 7, 6, 5, 3, 1)
-    >>> insert((1, 3, 6, 5, 4, 2), 3)
-    (1, 2, 7, 6, 5, 4, 3)
+    >>> str(insert_form((1, 3, 6, 5, 4, 2), 0))
+    'tau(2,4;n=7)'
     """
     w = check_permutation(w)
     n = len(w) + 1
@@ -422,7 +420,17 @@ def insert(w: Sequence[int], i: int) -> Perm:
         family = "tau" if i == 0 else "sigma"
     else:
         family = "sigma" if i == n - 1 else "tau"
-    return canonical_word(form_from_inversions(family, inv + n - 1 - i, n))
+    return form_from_inversions(family, inv + n - 1 - i, n)
+
+
+def insert(w: Sequence[int], i: int) -> Perm:
+    """
+    The canonical word of insert_form(w, i).
+
+    >>> insert((1, 3, 6, 5, 4, 2), 3)
+    (1, 2, 7, 6, 5, 4, 3)
+    """
+    return canonical_word(insert_form(w, i))
 
 
 def lambda_members(key: ClassKey) -> set[Perm]:
@@ -444,18 +452,13 @@ def lambda_members(key: ClassKey) -> set[Perm]:
 
 def v_members(key: ClassKey) -> set[Perm]:
     """
-    All v-shaped permutations in the keyed class.  A v word is fixed by its
-    falling letters (the valley 1 included), whose drops x - 1 are a subset
-    of 1..n-1 summing to the inversion count.
+    All v-shaped permutations in the keyed class: the complements of the
+    lambda members of the class with C(n, 2) - inv inversions and the other
+    sign, since x -> n + 1 - x turns lambda words into v words, inversions
+    into non-inversions, and 1 before n into n before 1.
     """
-    n = key.n
-    members: set[Perm] = set()
-    for drops in _subsets_with_sum(n - 1, key.inv):
-        falling = [d + 1 for d in drops]
-        if (n in falling) != key.one_before_n:
-            rest = sorted(set(range(2, n + 1)) - set(falling))
-            members.add(tuple(reversed(falling)) + (1,) + tuple(rest))
-    return members
+    mirror = ClassKey(key.n, math.comb(key.n, 2) - key.inv, not key.one_before_n)
+    return set(map(complement, lambda_members(mirror)))
 
 
 def next_lambda_down(p: Sequence[int]) -> Perm | None:

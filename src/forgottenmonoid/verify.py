@@ -116,22 +116,23 @@ def check(suite: str, default_max_n: int | None = None, *, name: str | None = No
     return register
 
 
-def _partition(ws: Iterable[Word]) -> tuple[dict[Word, int], tuple[frozenset[Word], ...]]:
-    """Close each word not yet seen: (class index of every word, the classes)."""
-    owner: dict[Word, int] = {}
-    classes: list[frozenset[Word]] = []
-    for w in ws:
-        if w not in owner:
-            members = frozenset(words.word_closure(w))
-            owner.update(dict.fromkeys(members, len(classes)))
-            classes.append(members)
-    return owner, tuple(classes)
+def _words_upto(max_len: int, alphabet: int):
+    for length in range(1, max_len + 1):
+        yield from itertools.product(range(1, alphabet + 1), repeat=length)
 
 
 @lru_cache(maxsize=8)
-def closure_partition(n: int) -> tuple[dict[Perm, int], tuple[frozenset[Perm], ...]]:
-    """Partition of all of S_n into forgotten classes by exhaustive closure."""
-    return _partition(all_permutations(n))
+def closure_partition(n: int, alphabet: int | None = None) -> tuple[frozenset[Word], ...]:
+    """Forgotten classes by one exhaustive closure each, in the order of their
+    least words: of S_n, or with alphabet=q of the words of length 1..n over 1..q."""
+    seen: set[Word] = set()
+    classes: list[frozenset[Word]] = []
+    for w in all_permutations(n) if alphabet is None else _words_upto(n, alphabet):
+        if w not in seen:
+            members = frozenset(words.word_closure(w))
+            seen |= members
+            classes.append(members)
+    return tuple(classes)
 
 
 def _reversal_closed(members: Iterable[Word]) -> bool:
@@ -159,7 +160,7 @@ def check_move_soundness(hi: int) -> Outcome:
 @check("classes", 7)
 def check_key_matches_closure(hi: int) -> Outcome:
     for n in range(2, hi + 1):
-        _, classes = closure_partition(n)
+        classes = closure_partition(n)
         by_key: dict[tuple[int, bool], set[Perm]] = {}
         for p, inv, one_first in sweep(n):
             by_key.setdefault((inv, one_first), set()).add(p)
@@ -182,7 +183,7 @@ def check_key_matches_closure(hi: int) -> Outcome:
 def check_class_count(hi: int) -> Outcome:
     counts = []
     for n in range(2, hi + 1):
-        _, classes = closure_partition(n)
+        classes = closure_partition(n)
         expected = forgotten.classes_count(n)
         if len(classes) != expected:
             return _fail(f"expected {expected} classes at n={n}, found {len(classes)}", n)
@@ -217,7 +218,7 @@ def _digits(p: Iterable[int]) -> str:
 @check("classes")
 def check_small_tables() -> Outcome:
     for n, table in ((2, _TABLE_N2), (3, _TABLE_N3), (4, _TABLE_N4)):
-        _, classes = closure_partition(n)
+        classes = closure_partition(n)
         found = {frozenset(_digits(p) for p in members) for members in classes}
         expected = {frozenset(row) for row in table}
         if found != expected:
@@ -231,7 +232,7 @@ def check_small_tables() -> Outcome:
 @check("classes", 8)
 def check_partition_totals(hi: int) -> Outcome:
     for n in range(2, min(hi, 7) + 1):
-        _, classes = closure_partition(n)
+        classes = closure_partition(n)
         total = sum(len(members) for members in classes)
         if total != math.factorial(n):
             return _fail(f"closure classes cover {total} of {math.factorial(n)} at n={n}", n)
@@ -245,8 +246,7 @@ def check_partition_totals(hi: int) -> Outcome:
 @check("classes", 7)
 def check_boundary_elements(hi: int) -> Outcome:
     for n in range(2, hi + 1):
-        _, classes = closure_partition(n)
-        for members in classes:
+        for members in closure_partition(n):
             sample = next(iter(members))
             first, last = (1, n) if class_key(sample).one_before_n else (n, 1)
             if not any(p[0] == first for p in members):
@@ -277,17 +277,16 @@ def check_schuetzenberger_key(hi: int) -> Outcome:
 @check("classes", 6)
 def check_schuetzenberger_membership(hi: int) -> Outcome:
     for n in range(2, hi + 1):
-        owner, _ = closure_partition(n)
-        for p in all_permutations(n):
-            if owner[schuetzenberger(p)] != owner[p]:
-                return _fail(f"involution left the closure at n={n}", p)
+        for members in closure_partition(n):
+            if {schuetzenberger(p) for p in members} != members:
+                return _fail(f"involution left the closure at n={n}", min(members))
     return f"the involution stays inside each closure (n <= {hi})"
 
 
 @check("classes", 6)
 def check_coforgotten(hi: int) -> Outcome:
     for n in range(2, hi + 1):
-        _, classes = closure_partition(n)
+        classes = closure_partition(n)
         inverted = {frozenset(inverse(p) for p in members) for members in classes}
         by_key: dict[ClassKey, set[Perm]] = {}
         for p in all_permutations(n):
@@ -302,8 +301,7 @@ def check_coforgotten(hi: int) -> Outcome:
 @check("classes", 7)
 def check_reversal_closure_classes(hi: int) -> Outcome:
     for n in range(2, hi + 1):
-        _, classes = closure_partition(n)
-        for members in classes:
+        for members in closure_partition(n):
             if not _reversal_closed(members):
                 return _fail(f"descent multiset not reversal-closed at n={n}", sorted(members)[0])
     return f"descent-composition multisets are reversal-closed (n <= {hi})"
@@ -359,8 +357,7 @@ def check_lex_bruteforce(hi: int) -> Outcome:
 @check("canonical", 7)
 def check_canonical_lexmin(hi: int) -> Outcome:
     for n in range(2, hi + 1):
-        _, classes = closure_partition(n)
-        for members in classes:
+        for members in closure_partition(n):
             smallest = min(members)
             for p in members:
                 if forgotten.canonical_of(p) != smallest:
@@ -499,11 +496,6 @@ def check_insertion_exhaustive(hi: int) -> Outcome:
 # commutation suite
 
 
-def _words_upto(max_len: int, alphabet: int):
-    for length in range(1, max_len + 1):
-        yield from itertools.product(range(1, alphabet + 1), repeat=length)
-
-
 @check("commutation", 6)
 def check_word_move_soundness(max_len: int) -> Outcome:
     moves = 0
@@ -553,7 +545,7 @@ def check_restriction_consistency() -> Outcome:
 
 @check("commutation", 6)
 def check_normal_form_invariance(max_len: int) -> Outcome:
-    _, classes = _partition(_words_upto(max_len, 4))
+    classes = closure_partition(max_len, 4)
     for closure in classes:
         normal = min(closure)
         for u in closure:
@@ -574,7 +566,7 @@ def check_commutation() -> Outcome:
 
 @check("commutation", 6)
 def check_reversal_closure_words(max_len: int) -> Outcome:
-    _, classes = _partition(_words_upto(max_len, 4))
+    classes = closure_partition(max_len, 4)
     for closure in classes:
         if not _reversal_closed(closure):
             return _fail("descent multiset of a word class not reversal-closed", min(closure))
@@ -634,7 +626,7 @@ def check_ribbon_theorem(hi: int) -> Outcome:
             for parts in all_compositions(n)
             if list(parts) == sorted(parts, reverse=True)
         }
-        for members in closure_partition(n)[1]:
+        for members in closure_partition(n):
             key = class_key(min(members))
             keys += 1
             expansion = qsym.ribbon_expansion(key)

@@ -75,6 +75,22 @@ class TestCommands:
         assert code == 0
         assert out.splitlines()[0] == "result: 2,4,7,6,5,3,1"
 
+    @pytest.mark.parametrize("argv, expected", [
+        (("insert", "136542", "0"), (0, "result: 2,4,7,6,5,3,1\nform: tau(2,4;n=7)\n", "")),
+        (("insert", "136542", "0", "--json"), (0, '{"result": [2, 4, 7, 6, 5, 3, 1], "form": "tau(2,4;n=7)"}\n', "")),
+        (("insert", "1", "1"), (0, "result: 1,2\nform: sigma(1,2;n=2)\n", "")),
+        (("insert", "2,3,1", "3", "--json"), (0, '{"result": [1, 3, 4, 2], "form": "sigma(1,3;n=4)"}\n', "")),
+        (("insert", "13452", "0"), (3, "", "domain error: (1, 3, 4, 5, 2) is not a canonical word\n")),
+        (("insert", "13452", "0", "--json"), (3, "", "domain error: (1, 3, 4, 5, 2) is not a canonical word\n")),
+        (("insert", "1,2", "9"), (3, "", "domain error: inserted letter 9 outside 0..2\n")),
+        (("insert", "1,2", " +0", "--json"), (2, "", (
+            "usage: forgot insert [-h] [--json] [--force] word letter\n"
+            "forgot insert: error: argument letter: invalid integer value: ' +0'\n"
+        ))),
+    ])
+    def test_insert_output_is_exact(self, capsys, argv, expected):
+        assert run(capsys, *argv) == expected
+
     def test_ribbons_by_key(self, capsys):
         code, out, _ = run(capsys, "ribbons", "--key", "8,10,n1")
         assert code == 0

@@ -25,7 +25,9 @@ from forgottenmonoid.forgotten import (
     equivalent,
     form_from_inversions,
     form_inversions,
+    form_of_key,
     insert,
+    insert_form,
     inv_bounds,
     is_canonical,
     lambda_members,
@@ -37,6 +39,7 @@ from forgottenmonoid.forgotten import (
 )
 from forgottenmonoid.perms import (
     ParseError,
+    _subsets_with_sum,
     all_compositions,
     all_permutations,
     check_permutation,
@@ -362,6 +365,12 @@ class TestInsertion:
         with pytest.raises(ValueError):
             insert((1, 3, 6, 5, 4, 2), -1)
 
+    def test_form_is_the_form_of_the_result(self):
+        for m in range(1, 11):
+            for w in lex_enumerate(m):
+                for i in range(m + 1):
+                    assert insert_form(w, i) == form_of_key(class_key(insert(w, i))), (w, i)
+
     def test_size_one_base(self):
         assert insert((1,), 0) == (2, 1)
         assert insert((1,), 1) == (1, 2)
@@ -423,6 +432,22 @@ class TestShapeMembers:
             for key in all_class_keys(n):
                 assert lambda_members(key) == lambda_filter(key), key
                 assert v_members(key) == v_filter(key), key
+
+    def test_v_members_match_the_falling_letter_walk(self):
+        # oracle: a v word is fixed by its falling letters (the valley 1
+        # included), whose drops x - 1 are a subset of 1..n-1 summing to inv
+        def v_walk(key):
+            n, members = key.n, set()
+            for drops in _subsets_with_sum(n - 1, key.inv):
+                falling = [d + 1 for d in drops]
+                if (n in falling) != key.one_before_n:
+                    rest = sorted(set(range(2, n + 1)) - set(falling))
+                    members.add(tuple(reversed(falling)) + (1,) + tuple(rest))
+            return members
+
+        for n in range(2, 15):
+            for key in all_class_keys(n):
+                assert v_members(key) == v_walk(key), key
 
     def test_every_class_has_both_shapes(self):
         for n in range(2, 8):
