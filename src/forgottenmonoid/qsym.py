@@ -5,10 +5,9 @@ expansion of forgotten-class sums.
 A class's sum of fundamentals is evaluated in finitely many variables (n by
 default, which determine a degree-n function) in closed form by
 ``class_qsym_sum``, as a plain map from exponent vectors to nonzero
-coefficients.  ``RibbonSum`` keeps a sum of fundamentals F_D as its
-histogram of descent sets D, which fixes it since the F_D are a basis; that
-path enumerates recoil classes and serves ``verify`` and the tests as an
-oracle.
+coefficients.  ``verify`` holds the descent-histogram and M-basis oracles.
+``_fundamental`` and ``_ribbons_by_recoil`` are oracles too; they stay here
+only because ``perfbench`` clears and reads their caches by name.
 """
 
 from __future__ import annotations
@@ -18,18 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import add, gt, sub
-from typing import Iterable, Sequence
+from operator import add, sub
+from typing import Sequence
 
 from .forgotten import ClassKey, descent_class_counts
-from .perms import (
-    Composition,
-    _subsets_with_sum,
-    check_composition,
-    check_permutation,
-    composition_from_subset,
-    inverse,
-)
+from .perms import Composition, _subsets_with_sum, check_permutation, inverse
 
 
 @lru_cache(maxsize=None)
@@ -62,13 +54,6 @@ def _fundamental(n: int, descents: frozenset[int], num_vars: int) -> Counter[tup
     return counts
 
 
-def descent_histogram(perms: Iterable[Sequence[int]]) -> Counter[int]:
-    """The multiset of descent sets of perms, each a bit mask with bit i - 1 for descent i."""
-    perms = list(perms)
-    bits = [1 << i for i in range(max(map(len, perms), default=1) - 1)]
-    return Counter(sum(itertools.compress(bits, map(gt, p, p[1:]))) for p in perms)
-
-
 @lru_cache(maxsize=256)
 def _ribbons_by_recoil(parts: Composition) -> Counter[int]:
     """
@@ -91,25 +76,6 @@ def _ribbons_by_recoil(parts: Composition) -> Counter[int]:
 
     extend(0, 0, frozenset(range(1, n + 1)))
     return histogram
-
-
-def monomial_coefficients(histogram: Counter[int], n: int) -> dict[Composition, int]:
-    """
-    The coefficient of each M_alpha in the sum of F_D over a histogram: F_D
-    sums the M_U over U containing D, so M_U counts the D inside U.
-
-    >>> monomial_coefficients(descent_histogram([(1, 3, 2), (2, 1, 3)]), 3)
-    {(3,): 0, (1, 2): 1, (2, 1): 1, (1, 1, 1): 2}
-    """
-    counts = [histogram[mask] for mask in range(1 << (n - 1))]
-    for bit in range(n - 1):
-        for mask in range(len(counts)):
-            if mask >> bit & 1:
-                counts[mask] += counts[mask ^ 1 << bit]
-    return {
-        composition_from_subset({i + 1 for i in range(n - 1) if mask >> i & 1}, n): count
-        for mask, count in enumerate(counts)
-    }
 
 
 def foata(p: Sequence[int]) -> tuple[int, ...]:
@@ -187,41 +153,14 @@ class RibbonSum:
             "r[" + ",".join(map(str, parts)) + "]" for parts in sorted(self.compositions)
         )
 
-    def histogram(self) -> Counter[int]:
-        """Descent histogram of the permutations whose recoil is one of the compositions."""
-        if any(sum(check_composition(parts)) != self.n for parts in self.compositions):
-            raise ValueError(f"not all compositions of {self.n}: {sorted(self.compositions)}")
-        return sum((_ribbons_by_recoil(parts) for parts in self.compositions), Counter())
-
-    def evaluate(self, num_vars: int) -> dict[tuple[int, ...], int]:
-        """
-        The sum in num_vars variables, as its nonzero coefficients by exponent
-        vector: x^e takes the M coefficient at e's nonzero parts.
-
-        >>> RibbonSum(3, frozenset({(1, 2)})).evaluate(2)
-        {(1, 2): 1, (2, 1): 1}
-        """
-        if num_vars < 1:
-            raise ValueError(f"need at least one variable, got {num_vars}")
-        coefficients = monomial_coefficients(self.histogram(), self.n)
-        terms: dict[tuple[int, ...], int] = {}
-        for bars in itertools.combinations(range(self.n + num_vars - 1), num_vars - 1):
-            marks = (-1, *bars, self.n + num_vars - 1)
-            exponents = tuple(b - a - 1 for a, b in zip(marks, marks[1:]))
-            coeff = coefficients[tuple(e for e in exponents if e)]
-            if coeff:
-                terms[exponents] = coeff
-        return terms
-
 
 def class_qsym_sum(key: ClassKey, num_vars: int) -> dict[tuple[int, ...], int]:
     """
-    The class's sum of fundamentals in num_vars variables, equal to
-    ``ribbon_expansion(key).evaluate(num_vars)`` and in the same order, in
-    closed form.  The sum is symmetric, by the ribbon theorem, so x^e takes
-    the M coefficient of the partition sorted(e): descent_class_counts of
-    that partition at the key, computed once per partition, with one
-    q-multinomial memo per call.
+    The class's sum of fundamentals in num_vars variables, in closed form,
+    its exponent vectors in lexicographic order.  The sum is symmetric, by
+    the ribbon theorem, so x^e takes the M coefficient of the partition
+    sorted(e): descent_class_counts of that partition at the key, computed
+    once per partition, with one q-multinomial memo per call.
 
     The vectors are built from the last variable forwards, each tagged with
     its multiset of entries as a sum of weights (num_vars + 1)^e, so no

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forgottenmonoid import qsym, verify
-from forgottenmonoid.forgotten import ClassKey, all_class_keys, canonical_of_key
+from forgottenmonoid.forgotten import ClassKey, all_class_keys, canonical_of_key, class_members
 from forgottenmonoid.perms import (
     all_compositions,
     all_permutations,
@@ -25,9 +25,7 @@ from forgottenmonoid.qsym import (
     RibbonSum,
     class_qsym_sum,
     compositions_with_maj,
-    descent_histogram,
     foata,
-    monomial_coefficients,
     ns_map,
     ribbon_expansion,
 )
@@ -38,8 +36,31 @@ def fundamental(n, descents, m):
     return qsym._fundamental(n, frozenset(descents), m)
 
 
+def histogram_sum(histogram, n, m):
+    """
+    The sum of F_D over a descent histogram in m variables, as its nonzero
+    coefficients in lexicographic order: x^e takes the M coefficient at e's
+    nonzero parts.
+    """
+    coefficients = verify._monomial_coefficients(histogram, n)
+    terms = {}
+    for bars in itertools.combinations(range(n + m - 1), m - 1):
+        marks = (-1, *bars, n + m - 1)
+        exponents = tuple(b - a - 1 for a, b in zip(marks, marks[1:]))
+        coeff = coefficients[tuple(filter(None, exponents))]
+        if coeff:
+            terms[exponents] = coeff
+    return terms
+
+
 def ribbon_schur(parts, m):
-    return RibbonSum(sum(parts), frozenset({parts})).evaluate(m)
+    """One ribbon in m variables, from its recoil class's descent histogram."""
+    return histogram_sum(qsym._ribbons_by_recoil(parts), sum(parts), m)
+
+
+def member_sum(key, m):
+    """The keyed class's sum in m variables, from the descent histogram of its members."""
+    return histogram_sum(verify._descent_histogram(class_members(key)), key.n, m)
 
 
 def class_sum(key, m):
@@ -69,18 +90,16 @@ def by_recoil(n):
 
 
 class TestTruncatedPolynomial:
-    """The term maps of RibbonSum.evaluate: homogeneous of degree n in m variables."""
+    """The term maps of class_qsym_sum: homogeneous of degree n in m variables."""
 
     def test_validation(self):
-        for n in range(1, 6):
-            for parts in all_compositions(n):
+        for n in range(2, 7):
+            for key in all_class_keys(n):
                 for m in range(1, n + 2):
-                    terms = ribbon_schur(parts, m)
+                    terms = class_qsym_sum(key, m)
                     assert all(len(exp) == m and sum(exp) == n and coeff for exp, coeff in terms.items())
         # r[1,2] in two variables: the zero coefficients at (3, 0) and (0, 3) are left out
-        assert ribbon_schur((1, 2), 2) == {(1, 2): 1, (2, 1): 1}
-        with pytest.raises(ValueError):
-            ribbon_schur((1, 1), 0)
+        assert class_qsym_sum(ClassKey(3, 1, True), 2) == {(1, 2): 1, (2, 1): 1}
 
 
 class TestFundamental:
@@ -103,14 +122,9 @@ class TestFundamental:
         assert all(set(exp) <= {0, 1} for exp in terms)
         assert sum(terms.values()) == math.comb(4, 3)
 
-    def test_bad_descents_rejected(self):
-        # a descent at n is a cut leaving an empty last part
-        with pytest.raises(ValueError):
-            RibbonSum(3, frozenset({(3, 0)})).evaluate(2)
-
 
 class TestRibbonSchur:
-    """One ribbon, as RibbonSum(n, frozenset({parts})).evaluate(m)."""
+    """One ribbon, as the M-basis oracle over its recoil class's descent histogram."""
 
     def test_single_part_is_complete_homogeneous(self):
         for n in range(1, 6):
@@ -121,21 +135,17 @@ class TestRibbonSchur:
 
     def test_matches_class_sum_for_paper_class(self):
         key = ClassKey(5, 3, True)
-        total = RibbonSum(5, frozenset({(1, 1, 3), (3, 2)})).evaluate(5)
+        total = Counter(ribbon_schur((1, 1, 3), 5)) + Counter(ribbon_schur((3, 2), 5))
         assert class_sum(key, 5) == total
 
     def test_symmetric(self):
         for parts in [(2, 1), (1, 2), (3,), (1, 1, 1)]:
             assert symmetric(ribbon_schur(parts, 4))
 
-    def test_needs_a_variable(self):
-        with pytest.raises(ValueError):
-            ribbon_schur((2, 1), 0)
-
     def test_histograms_match_scan_of_s_n(self):
         for n in range(1, 8):
             for parts in all_compositions(n):
-                assert qsym._ribbons_by_recoil(parts) == descent_histogram(by_recoil(n)[parts]), parts
+                assert qsym._ribbons_by_recoil(parts) == verify._descent_histogram(by_recoil(n)[parts]), parts
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 7).flatmap(
@@ -159,16 +169,16 @@ class TestMonomialCoefficients:
                     for r in range(n)
                     for cuts in itertools.combinations(range(1, n), r)
                 }
-                assert monomial_coefficients(descent_histogram([p]), n) == expected, p
+                assert verify._monomial_coefficients(verify._descent_histogram([p]), n) == expected, p
 
     def test_descent_histogram_matches_descent_set_masks(self):
         def masks(perms):
             return Counter(sum(1 << (i - 1) for i in descent_set(p)) for p in perms)
 
         for n in range(1, 8):
-            assert descent_histogram(all_permutations(n)) == masks(all_permutations(n)), n
+            assert verify._descent_histogram(all_permutations(n)) == masks(all_permutations(n)), n
         mixed = [(2, 1), (1, 3, 2), (3, 1, 2), (4, 1, 3, 2)]
-        assert descent_histogram(iter(mixed)) == masks(mixed)
+        assert verify._descent_histogram(iter(mixed)) == masks(mixed)
 
 
 class TestFoata:
@@ -292,11 +302,6 @@ class TestRibbonExpansion:
     def test_empty_sum_prints_zero(self):
         assert str(RibbonSum(4, frozenset())) == "0"
 
-    def test_evaluate_rejects_compositions_of_another_n(self):
-        for parts in [(2, 1), (0, 4), (2, 3)]:
-            with pytest.raises(ValueError):
-                RibbonSum(4, frozenset({parts})).evaluate(4)
-
 
 class TestClassSums:
     def test_inversion_free_class_is_complete_homogeneous(self):
@@ -311,11 +316,12 @@ class TestClassSums:
         assert class_sum(key, 4) == total
 
     def test_full_theorem_small(self):
+        # in the F basis: the ribbons' recoil classes have the class's descent sets
         for n in range(2, 6):
             for key in all_class_keys(n):
-                terms = class_sum(key, n)
-                assert terms == ribbon_expansion(key).evaluate(n)
-                assert symmetric(terms)
+                ribbons = sum(map(qsym._ribbons_by_recoil, ribbon_expansion(key).compositions), Counter())
+                assert ribbons == verify._descent_histogram(word_closure(canonical_of_key(key))), key
+                assert symmetric(class_sum(key, n))
 
     def test_wrong_expansion_fails_verify(self, monkeypatch):
         monkeypatch.setattr(qsym, "ribbon_expansion", lambda key: RibbonSum(key.n, frozenset({(key.n,)})))
@@ -328,17 +334,30 @@ class TestClassSums:
         assert not results["ribbon_theorem"].passed
         assert "class sum differs from its ribbon sum" in results["ribbon_theorem"].detail
 
+    def test_dropped_descent_set_fails_verify(self, monkeypatch):
+        # check_ribbon_theorem reads the recoil histograms through qsym, whose cache perfbench clears
+        by_recoil = qsym._ribbons_by_recoil
+
+        def dropping(parts):
+            histogram = Counter(by_recoil(parts))
+            del histogram[max(histogram)]
+            return histogram
+
+        monkeypatch.setattr(qsym, "_ribbons_by_recoil", dropping)
+        result = verify.check_ribbon_theorem(max_n=4)
+        assert not result.passed
+        assert "class descent sets differ from its ribbons'" in result.detail
+
 
 class TestClassQsymSum:
-    """The closed form against the recoil-class histograms and BFS closures."""
+    """The closed form against the members' descent histograms and BFS closures."""
 
     def test_equals_evaluate_for_every_small_key(self):
         for n in range(2, 8):
             for key in all_class_keys(n):
-                expansion = ribbon_expansion(key)
                 for m in range(1, n + 1):
                     terms = class_qsym_sum(key, m)
-                    expected = expansion.evaluate(m)
+                    expected = member_sum(key, m)
                     assert terms == expected, (key, m)
                     assert list(terms) == list(expected), (key, m)
 
@@ -353,11 +372,11 @@ class TestClassQsymSum:
         lambda n: st.tuples(st.sampled_from(all_class_keys(n)), st.integers(1, n))))
     def test_equals_evaluate_at_n8_n9(self, case):
         key, m = case
-        assert class_qsym_sum(key, m) == ribbon_expansion(key).evaluate(m)
+        assert class_qsym_sum(key, m) == member_sum(key, m)
 
     def test_more_variables_than_n(self):
         for key in all_class_keys(4):
-            assert class_qsym_sum(key, 6) == ribbon_expansion(key).evaluate(6)
+            assert class_qsym_sum(key, 6) == class_sum(key, 6)
 
     def test_needs_a_variable(self):
         for m in (0, -3):
