@@ -50,7 +50,6 @@ from .perms import (
     standardize,
 )
 from .qsym import (
-    RibbonSum,
     class_qsym_sum,
     compositions_with_maj,
     foata,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -129,7 +130,7 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
         total = qsym.class_qsym_sum(key, num_vars)
 
     def payload() -> dict:
-        out = {"key": key.to_json_dict(), "compositions": sorted(expansion.compositions)}
+        out = {"key": key.to_json_dict(), "compositions": sorted(expansion)}
         if total is not None:
             # total lists its vectors in lexicographic order, and json writes tuples as lists
             terms = [{"exp": exponents, "coeff": coeff} for exponents, coeff in total.items()]
@@ -137,7 +138,7 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
         return out
 
     def lines() -> Iterator[str]:
-        yield str(expansion)
+        yield " + ".join("r[" + ",".join(map(str, parts)) + "]" for parts in sorted(expansion)) or "0"
         if total is not None:
             # powers[i][e] is x_(i+1)^e as printed, empty for e = 0
             powers = [["", f"x{i}", *(f"x{i}^{e}" for e in range(2, key.n + 1))] for i in range(1, num_vars + 1)]
@@ -190,9 +191,10 @@ def _cmd_confluence(args: argparse.Namespace) -> int:
             yield f"descending rewrites are confluent on all words of length <= {max_len} over 1..{q}"
             return
         yield f"{len(found)} counterexample(s) to descending-rewrite confluence (len <= {max_len}, q = {q}):"
+        # few distinct words recur in many lines, so each is formatted once
+        text = functools.cache(lambda w: "(" + ",".join(map(str, w)) + ")")
         for w, endpoints in found:
-            stalls = "  ".join("(" + ",".join(map(str, e)) + ")" for e in endpoints)
-            yield f"  ({','.join(map(str, w))}) stalls at {stalls}"
+            yield f"  {text(w)} stalls at {'  '.join(map(text, endpoints))}"
 
     return _emit(args, payload, lines)
 

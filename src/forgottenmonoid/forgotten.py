@@ -6,9 +6,10 @@ three consecutive letters acb <-> bac or bca <-> cab (a < b < c): the
 distinct-letter rules of ``words``, whose moves and exhaustive closures act
 on permutations unchanged.  A class is determined completely by the
 inversion number together with the relative order of the letters 1 and n;
-each class contains a unique lexicographically minimal word, reachable by
-pattern-avoidance arguments and parameterized by two compact families
-sigma(k, a) and tau(k, a).
+each class contains a unique lexicographically minimal word, built from the
+key and parameterized by two compact families sigma(k, a) and tau(k, a).
+``verify`` checks it against the paper's other characterization, the unique
+avoider of 213, 312, 13452 and 34521.
 """
 
 from __future__ import annotations
@@ -25,20 +26,12 @@ from .perms import (
     Perm,
     ParseError,
     _subsets_with_sum,
-    avoids_pattern,
     check_permutation,
     complement,
     inverse,
     inversion_number,
     is_lambda_shaped,
     sweep,
-)
-
-FORBIDDEN_PATTERNS: tuple[Perm, ...] = (
-    (2, 1, 3),
-    (3, 1, 2),
-    (1, 3, 4, 5, 2),
-    (3, 4, 5, 2, 1),
 )
 
 FAMILIES = ("sigma", "tau")
@@ -232,9 +225,9 @@ def canonical_of(p: Sequence[int]) -> Perm:
 
 
 def is_canonical(p: Sequence[int]) -> bool:
-    """True iff the permutation p avoids 213, 312, 13452, and 34521."""
+    """True iff the permutation p is the canonical word of its own key."""
     p = check_permutation(p)
-    return all(avoids_pattern(p, pattern) for pattern in FORBIDDEN_PATTERNS)
+    return len(p) < 2 or p == canonical_of_key(ClassKey(len(p), *_key_pair(p)))
 
 
 def lex_enumerate(n: int) -> list[Perm]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, sub
@@ -139,21 +138,6 @@ def compositions_with_maj(n: int, maj: int) -> set[Composition]:
     return {tuple(map(sub, [*cuts, n], [0, *cuts])) for cuts in _subsets_with_sum(n - 1, maj)}
 
 
-@dataclass(frozen=True)
-class RibbonSum:
-    """A 0-1 sum of ribbon Schur functions, recorded by its compositions."""
-
-    n: int
-    compositions: frozenset[Composition]
-
-    def __str__(self) -> str:
-        if not self.compositions:
-            return "0"
-        return " + ".join(
-            "r[" + ",".join(map(str, parts)) + "]" for parts in sorted(self.compositions)
-        )
-
-
 def class_qsym_sum(key: ClassKey, num_vars: int) -> dict[tuple[int, ...], int]:
     """
     The class's sum of fundamentals in num_vars variables, in closed form,
@@ -187,15 +171,15 @@ def class_qsym_sum(key: ClassKey, num_vars: int) -> dict[tuple[int, ...], int]:
     return {v: c for v, c in zip(vectors[-1], map(coefficients.get, tags[-1])) if c}
 
 
-def ribbon_expansion(key: ClassKey) -> RibbonSum:
+def ribbon_expansion(key: ClassKey) -> frozenset[Composition]:
     """
-    The ribbons summing to the class's quasi-symmetric sum: the compositions
-    with major index equal to the class's inversion count, not ending in 1
-    for 1-before-n classes and ending in 1 otherwise.  ``verify`` checks
+    The ribbons summing to the class's quasi-symmetric sum, by composition:
+    those with major index equal to the class's inversion count, not ending
+    in 1 for 1-before-n classes and ending in 1 otherwise.  ``verify`` checks
     this against the lambda and v expansions and the sign pairing.
     """
-    return RibbonSum(key.n, frozenset(
+    return frozenset(
         parts
         for parts in compositions_with_maj(key.n, key.inv)
         if (parts[-1] == 1) != key.one_before_n
-    ))
+    )

@@ -96,6 +96,10 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "r[1,1,5,1] + r[3,4,1]"
 
+    def test_ribbons_empty_sum_prints_zero(self, capsys, monkeypatch):
+        monkeypatch.setattr(qsym, "ribbon_expansion", lambda key: frozenset())
+        assert run(capsys, "ribbons", "--key", "4,2,1n") == (0, "0\n", "")
+
     def test_ribbons_by_perm(self, capsys):
         code, out, _ = run(capsys, "ribbons", "--perm", "12543")
         assert code == 0
@@ -144,6 +148,20 @@ class TestCommands:
         code, out, _ = run(capsys, "commute", "2", "3", "--alphabet", "4", "--json")
         assert code == 0
         assert json.loads(out)["commutes"] is True
+
+    def test_confluence_text_lists_the_json_counterexamples(self, capsys):
+        argv = ("confluence", "--alphabet", "4", "--max-len", "6", "--limit", "100000")
+        code, out, _ = run(capsys, *argv)
+        found = json.loads(run(capsys, *argv, "--json")[1])["counterexamples"]
+
+        def text(w):
+            return "(" + ",".join(map(str, w)) + ")"
+
+        assert code == 0 and len(found) == 1663
+        assert out.splitlines() == [
+            "1663 counterexample(s) to descending-rewrite confluence (len <= 6, q = 4):",
+            *(f"  {text(c['word'])} stalls at {'  '.join(map(text, c['endpoints']))}" for c in found),
+        ]
 
     def test_verify_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "insertion", "--max-n", "5")

@@ -42,6 +42,7 @@ from forgottenmonoid.perms import (
     _subsets_with_sum,
     all_compositions,
     all_permutations,
+    avoids_pattern,
     check_permutation,
     descent_set,
     inverse,
@@ -51,6 +52,15 @@ from forgottenmonoid.perms import (
     standardize,
 )
 from forgottenmonoid.words import general_moves, word_closure
+
+# the paper's pattern characterization of canonical words, the oracle for
+# is_canonical, which reads the key
+FORBIDDEN_PATTERNS = ((2, 1, 3), (3, 1, 2), (1, 3, 4, 5, 2), (3, 4, 5, 2, 1))
+
+
+def avoids_forbidden(p):
+    return all(avoids_pattern(p, pattern) for pattern in FORBIDDEN_PATTERNS)
+
 
 PAPER_CLASS_N5 = {
     (1, 2, 5, 4, 3), (1, 3, 4, 5, 2), (1, 3, 5, 2, 4), (1, 4, 2, 5, 3),
@@ -338,7 +348,23 @@ class TestCanonicalElements:
         for n in range(2, 7):
             members = set(lex_enumerate(n))
             for p in all_permutations(n):
-                assert is_canonical(p) == (p in members)
+                assert is_canonical(p) == avoids_forbidden(p) == (p in members)
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_is_canonical_above_the_pattern_range(self, n):
+        # no pattern scan: each canonical word passes, and one adjacent
+        # transposition of it passes exactly when it is canonical too
+        members = lex_enumerate(n)
+        canonical = set(members)
+        hits = 0
+        for index, w in enumerate(members):
+            assert is_canonical(w), w
+            j = index % (n - 1)
+            swapped = (*w[:j], w[j + 1], w[j], *w[j + 2:])
+            verdict = is_canonical(swapped)
+            assert verdict == (swapped in canonical), swapped
+            hits += verdict
+        assert 0 < hits < len(members)
 
 
 class TestInsertion:
@@ -353,7 +379,7 @@ class TestInsertion:
             for w in lex_enumerate(n - 1):
                 for i in range(n):
                     result = insert(w, i)
-                    assert is_canonical(result)
+                    assert avoids_forbidden(result)
                     assert inversion_number(result) == inversion_number(w) + n - 1 - i
                     assert equivalent(result, standardize(w + (i,)))
 
@@ -383,7 +409,9 @@ class TestInsertion:
         # the closed-form canonicity test against the pattern-avoidance oracle
         for n in range(1, 8):
             for w in all_permutations(n):
-                if is_canonical(w):
+                avoids = avoids_forbidden(w)
+                assert is_canonical(w) == avoids, w
+                if avoids:
                     insert(w, 0)
                 else:
                     with pytest.raises(ValueError, match="not a canonical word"):

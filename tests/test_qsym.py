@@ -22,7 +22,6 @@ from forgottenmonoid.perms import (
     recoil_composition,
 )
 from forgottenmonoid.qsym import (
-    RibbonSum,
     class_qsym_sum,
     compositions_with_maj,
     foata,
@@ -280,15 +279,15 @@ class TestCompositionsWithMaj:
 
 class TestRibbonExpansion:
     def test_inversion_free_class(self):
-        assert ribbon_expansion(ClassKey(6, 0, True)).compositions == frozenset({(6,)})
+        assert ribbon_expansion(ClassKey(6, 0, True)) == frozenset({(6,)})
 
     def test_s8_examples(self):
         plus = ribbon_expansion(ClassKey(8, 10, True))
         minus = ribbon_expansion(ClassKey(8, 10, False))
-        assert plus.compositions == frozenset(
+        assert plus == frozenset(
             {(1, 1, 1, 1, 4), (2, 1, 2, 3), (1, 3, 1, 3), (1, 2, 3, 2), (4, 2, 2)}
         )
-        assert str(minus) == "r[1,1,5,1] + r[3,4,1]"
+        assert minus == frozenset({(1, 1, 5, 1), (3, 4, 1)})
 
     def test_disagreement_fails_verify(self, monkeypatch):
         monkeypatch.setattr(verify, "_expansion_by_v", lambda key: {(key.n,), (1,) * key.n})
@@ -297,10 +296,7 @@ class TestRibbonExpansion:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(9, 14).flatmap(lambda n: st.sampled_from(all_class_keys(n))))
     def test_agrees_with_shape_members(self, key):
-        assert ribbon_expansion(key).compositions == verify._expansion_by_lambda(key) == verify._expansion_by_v(key)
-
-    def test_empty_sum_prints_zero(self):
-        assert str(RibbonSum(4, frozenset())) == "0"
+        assert ribbon_expansion(key) == verify._expansion_by_lambda(key) == verify._expansion_by_v(key)
 
 
 class TestClassSums:
@@ -311,7 +307,7 @@ class TestClassSums:
     def test_n4_minus_class(self):
         key = ClassKey(4, 3, False)
         total = Counter()
-        for parts in ribbon_expansion(key).compositions:
+        for parts in ribbon_expansion(key):
             total.update(ribbon_schur(parts, 4))
         assert class_sum(key, 4) == total
 
@@ -319,12 +315,12 @@ class TestClassSums:
         # in the F basis: the ribbons' recoil classes have the class's descent sets
         for n in range(2, 6):
             for key in all_class_keys(n):
-                ribbons = sum(map(qsym._ribbons_by_recoil, ribbon_expansion(key).compositions), Counter())
+                ribbons = sum(map(qsym._ribbons_by_recoil, ribbon_expansion(key)), Counter())
                 assert ribbons == verify._descent_histogram(word_closure(canonical_of_key(key))), key
                 assert symmetric(class_sum(key, n))
 
     def test_wrong_expansion_fails_verify(self, monkeypatch):
-        monkeypatch.setattr(qsym, "ribbon_expansion", lambda key: RibbonSum(key.n, frozenset({(key.n,)})))
+        monkeypatch.setattr(qsym, "ribbon_expansion", lambda key: frozenset({(key.n,)}))
         assert not verify.check_ribbon_theorem(max_n=4).passed
 
     def test_dropped_term_fails_verify(self, monkeypatch):
