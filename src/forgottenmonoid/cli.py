@@ -41,6 +41,9 @@ COMMUTE_DEGREE_CAP = 8
 # A full confluence scan of 100,000 words takes about 1 s.
 CONFLUENCE_SCAN_CAP = 100_000
 CONFLUENCE_LIMIT = 5
+# phi and ns take about 0.8 s on a word of this many letters; above 255 the
+# transform rotates block by block, quadratic in n.
+TRANSFORM_CAP = 2_500
 
 
 def integer(text: str) -> int:
@@ -153,6 +156,7 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
+    _require(len(p) <= TRANSFORM_CAP or args.force, f"n={len(p)} beyond the transform cap {TRANSFORM_CAP} (use --force)")
     image = args.transform(p)
     return _emit(args, lambda: {"input": p, "result": image}, lambda: [format_permutation(image)])
 

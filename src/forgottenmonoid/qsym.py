@@ -85,6 +85,13 @@ def foata(p: Sequence[int]) -> tuple[int, ...]:
     every letter greater than a (if the image ends above a) or smaller than
     a (otherwise) and rotating the last letter of every block to its front.
 
+    Every block ends in exactly one cut letter, so if c_1..c_m are the cut
+    letters in order of appearance, the rotated blocks read c_1, then the
+    image without its last letter (which is c_m) with each c_j relabeled
+    c_(j+1), then a.  For n <= 255 the image is a ``bytes`` object and each step is
+    that one relabeling by ``bytes.translate``; longer words take the list
+    loop that rotates block by block.
+
     >>> foata((1, 3, 2))
     (3, 1, 2)
     >>> foata((2, 3, 1))
@@ -93,8 +100,23 @@ def foata(p: Sequence[int]) -> tuple[int, ...]:
     return _foata(check_permutation(p))
 
 
+_BYTES = bytes(range(256))
+
+
 def _foata(p: Sequence[int]) -> tuple[int, ...]:
     """foata without validating p."""
+    if len(p) > 255:
+        return _foata_loop(p)
+    image = bytes(p[:1])
+    for a in p[1:]:
+        # the letters on the same side of a as the last letter, in order
+        cut = image.translate(None, _BYTES[:a] if image[-1] > a else _BYTES[a:])
+        image = cut[:1] + image[:-1].translate(bytes.maketrans(cut[:-1], cut[1:])) + _BYTES[a : a + 1]
+    return tuple(image)
+
+
+def _foata_loop(p: Sequence[int]) -> tuple[int, ...]:
+    """_foata block by block, for letters of any size."""
     image: list[int] = []
     for a in p:
         if image:

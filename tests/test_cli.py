@@ -429,6 +429,26 @@ class TestCaps:
         assert code == 0
         assert len(json.loads(out)["canonical"]) == CANONICAL_CAP + 1
 
+    @pytest.mark.parametrize("command, transform", [("phi", qsym.foata), ("ns", qsym.ns_map)])
+    def test_transform_at_cap_runs(self, capsys, monkeypatch, command, transform):
+        monkeypatch.setattr(cli, "TRANSFORM_CAP", 5)
+        code, out, _ = run(capsys, command, "2,5,1,4,3", "--json")
+        assert code == 0
+        assert json.loads(out) == {"input": [2, 5, 1, 4, 3], "result": list(transform((2, 5, 1, 4, 3)))}
+
+    @pytest.mark.parametrize("command, transform", [("phi", qsym.foata), ("ns", qsym.ns_map)])
+    def test_transform_beyond_cap_needs_force(self, capsys, monkeypatch, command, transform):
+        monkeypatch.setattr(cli, "TRANSFORM_CAP", 5)
+        expected = transform((2, 5, 1, 4, 6, 3))
+        with monkeypatch.context() as patched:
+            # refused before the transform runs
+            patched.setattr(qsym, "_foata", lambda p: pytest.fail("transform ran past the cap"))
+            code, out, err = run(capsys, command, "2,5,1,4,6,3")
+        assert (code, out) == (3, "")
+        assert err == "domain error: n=6 beyond the transform cap 5 (use --force)\n"
+        code, out, _ = run(capsys, command, "2,5,1,4,6,3", "--force")
+        assert code == 0 and out == ",".join(map(str, expected)) + "\n"
+
     def test_class_of_largest_class_at_closure_cap_within_a_second(self, capsys):
         started = time.perf_counter()
         code, out, _ = run(capsys, "class-of", "1,2,3,9,8,7,6,5,4", "--json")

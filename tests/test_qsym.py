@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 from collections import Counter
 from functools import lru_cache
@@ -211,6 +212,43 @@ class TestFoata:
         # unchecked, a repeated last letter would never close a block and be lost
         with pytest.raises(ValueError, match=re.escape("(1, 1)")):
             foata((1, 1))
+
+
+class TestFoataKernel:
+    """The byte relabeling (n <= 255) against the block-by-block loop."""
+
+    @staticmethod
+    def shuffled(n, seed):
+        p = list(range(1, n + 1))
+        random.Random(seed).shuffle(p)
+        return tuple(p)
+
+    def test_equals_the_loop_on_small_permutations(self):
+        for n in range(1, 9):
+            for p in all_permutations(n):
+                assert qsym._foata(p) == qsym._foata_loop(p), p
+
+    @pytest.mark.parametrize("n", [9, 60, 254, 255])
+    def test_equals_the_loop_on_random_permutations(self, n):
+        for seed in range(20):
+            p = self.shuffled(n, seed)
+            assert qsym._foata(p) == qsym._foata_loop(p), p
+
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    def test_statistics_on_both_sides_of_the_byte_range(self, n):
+        for seed in range(5):
+            p = self.shuffled(n, seed)
+            image = foata(p)
+            assert inversion_number(image) == major_index(p)
+            assert recoil_composition(image) == recoil_composition(p)
+            image = ns_map(p)
+            assert descent_set(image) == descent_set(p)
+            assert inversion_number(image) == major_index(inverse(p))
+
+    def test_empty_and_single_letter(self):
+        for transform in (foata, ns_map, qsym._foata, qsym._foata_loop):
+            assert transform(()) == ()
+            assert transform((1,)) == (1,)
 
 
 class TestNsMap:
