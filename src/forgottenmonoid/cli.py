@@ -27,17 +27,16 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
-CLOSURE_CAP = 9
 LISTING_CAP = 50
 # canonical --key builds and prints a word of n letters: about 0.3 s and
 # 130 MB as text at the cap.
 CANONICAL_CAP = 1_000_000
 SHAPE_CAP = 20
-# ribbons --vars lists at most this many exponent vectors, C(n + M - 1, M - 1):
-# about half a second at the cap, from n = M = 10 to n = 20 with M = 6.
-VARS_TERM_CAP = 100_000
+# class-of lists at most this many members, and ribbons --vars at most this
+# many exponent vectors, C(n + M - 1, M - 1): about 0.3-0.4 s at the cap at
+# n = 10; the largest class under it at n = 50 (57,526 members) takes 1.1 s.
+ITEM_CAP = 100_000
 COMMUTE_ALPHABET_CAP = 5
-COMMUTE_DEGREE_CAP = 8
 # A full confluence scan of 100,000 words takes about 1 s.
 CONFLUENCE_SCAN_CAP = 100_000
 CONFLUENCE_LIMIT = 5
@@ -82,11 +81,15 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 def _cmd_class_of(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
-    _require(len(p) >= 2, "need a permutation of size >= 2")
-    _require(len(p) <= CLOSURE_CAP or args.force, f"n={len(p)} beyond the closure cap {CLOSURE_CAP} (use --force)")
+    n = len(p)
+    _require(n >= 2, "need a permutation of size >= 2")
+    _require(n <= LISTING_CAP or args.force, f"n={n} beyond the listing cap {LISTING_CAP} (use --force)")
     key = forgotten.class_key(p)
+    if not args.force:
+        size = forgotten.class_sizes(n)[key]  # closed form, before any member is built
+        _require(size <= ITEM_CAP, f"{size} members beyond the cap {ITEM_CAP} (use --force)")
     members = forgotten.class_members(key)
-    canonical = forgotten.canonical_of_key(key)
+    canonical = members[0]  # members come in lexicographic order
     return _emit(args, lambda: {
         "key": key.to_json_dict(), "canonical": canonical, "size": len(members), "members": members,
     }, lambda: [
@@ -129,7 +132,7 @@ def _cmd_ribbons(args: argparse.Namespace) -> int:
         _require(num_vars <= key.n or args.force, f"M={num_vars} above n={key.n}; n variables fix the sum (use --force)")
         if num_vars >= 1 and not args.force:
             terms = math.comb(key.n + num_vars - 1, num_vars - 1)
-            _require(terms <= VARS_TERM_CAP, f"{terms} terms in {num_vars} variables beyond the cap {VARS_TERM_CAP} (use --force)")
+            _require(terms <= ITEM_CAP, f"{terms} terms in {num_vars} variables beyond the cap {ITEM_CAP} (use --force)")
         total = qsym.class_qsym_sum(key, num_vars)
 
     def payload() -> dict:
@@ -164,12 +167,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 def _cmd_commute(args: argparse.Namespace) -> int:
     q = args.alphabet
     _require(q >= 1, f"need an alphabet of size >= 1, got {q}")
-    if not args.force:
-        _require(q <= COMMUTE_ALPHABET_CAP, f"alphabet {q} beyond the cap {COMMUTE_ALPHABET_CAP} (use --force)")
-        _require(
-            args.i + args.j <= COMMUTE_DEGREE_CAP,
-            f"degree sum {args.i + args.j} beyond the cap {COMMUTE_DEGREE_CAP} (use --force)",
-        )
+    _require(q <= COMMUTE_ALPHABET_CAP or args.force, f"alphabet {q} beyond the cap {COMMUTE_ALPHABET_CAP} (use --force)")
     commutes = words.commute_check(args.i, args.j, q)
     return _emit(args, lambda: {"i": args.i, "j": args.j, "alphabet": q, "commutes": commutes}, lambda: [
         f"e_{args.i} e_{args.j} {'=' if commutes else '!='} e_{args.j} e_{args.i} over 1..{q}"

@@ -262,7 +262,12 @@ def class_members(key: ClassKey) -> list[Perm]:
     Every member of the keyed class in lexicographic order, built letter by
     letter as an inversion table: the c-th smallest unused letter (from 0)
     adds c inversions, m letters hold at most C(m, 2), and the first of 1
-    and n placed fixes the sign.
+    and n placed fixes the sign.  While 1 and n are both unused, m letters
+    with n before 1 hold exactly m-1 to C(m, 2) inversions and with 1
+    before n exactly 0 to C(m, 2) - (m-1), so a child is pushed only if the
+    letters it leaves can still meet both the count and the sign: every
+    prefix on the stack extends to a member, and the walk costs O(n) prefixes
+    per member.
 
     The walk stops with t = min(5, n) letters left.  Their inversions depend
     only on their rank order, and so does the sign while 1 and n (ranks 0
@@ -296,8 +301,15 @@ def class_members(key: ClassKey) -> list[Perm]:
             continue
         for c in reversed(range(max(0, rem - (m - 1) * (m - 2) // 2), min(m - 1, rem) + 1)):
             x = unused[c]
-            if signed or x not in (1, n) or (x == 1) == want:
-                stack.append((prefix + (x,), unused[:c] + unused[c + 1:], rem - c, signed or x in (1, n)))
+            if not signed:
+                # 1 or n fixes the sign; any other letter leaves m-1 letters
+                # that must still hold rem - c inversions with the wanted sign
+                if x in (1, n):
+                    if (x == 1) != want:
+                        continue
+                elif rem - c > (m - 2) * (m - 3) // 2 if want else rem - c < m - 2:
+                    continue
+            stack.append((prefix + (x,), unused[:c] + unused[c + 1:], rem - c, signed or x in (1, n)))
     return members
 
 

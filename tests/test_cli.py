@@ -8,10 +8,9 @@ from collections import Counter
 
 import pytest
 
-from forgottenmonoid import cli, qsym, verify
+from forgottenmonoid import cli, forgotten, qsym, verify
 from forgottenmonoid.cli import (
-    CANONICAL_CAP, CLOSURE_CAP, CONFLUENCE_LIMIT, CONFLUENCE_SCAN_CAP, LISTING_CAP, SHAPE_CAP, VARS_TERM_CAP,
-    main,
+    CANONICAL_CAP, CONFLUENCE_LIMIT, CONFLUENCE_SCAN_CAP, ITEM_CAP, LISTING_CAP, SHAPE_CAP, main,
 )
 from forgottenmonoid.perms import descent_set
 from forgottenmonoid.words import word_closure
@@ -243,10 +242,10 @@ class TestExitCodes:
         assert code == 3
         assert "domain error" in err
 
-    def test_closure_cap_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "class-of", "1,2,3,4,5,6,7,8,9,10")
-        assert code == 3
-        assert "--force" in err
+    def test_class_size_cap_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "class-of", "2,3,6,10,9,8,7,5,4,1")
+        assert (code, out) == (3, "")
+        assert err == "domain error: 152378 members beyond the cap 100000 (use --force)\n"
 
     def test_commute_cap(self, capsys):
         code, _, err = run(capsys, "commute", "2", "3", "--alphabet", "6")
@@ -358,14 +357,14 @@ class TestCaps:
         elapsed = time.perf_counter() - started
         assert code == 0
         payload = json.loads(out)
-        assert payload["vars"] == payload["key"]["n"] <= CLOSURE_CAP
+        assert payload["vars"] == payload["key"]["n"] <= 9
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("key, m", [("10,20,1n", 10), ("20,95,1n", 6), ("16,60,n1", 7)])
     def test_ribbons_vars_at_term_cap_within_a_second(self, capsys, key, m):
         n = int(key.split(",")[0])
         # the largest M allowed at this n: one more variable is past the cap
-        assert math.comb(n + m - 1, m - 1) <= VARS_TERM_CAP < math.comb(n + m, m)
+        assert math.comb(n + m - 1, m - 1) <= ITEM_CAP < math.comb(n + m, m)
         for fmt in (["--json"], []):
             started = time.perf_counter()
             code, out, _ = run(capsys, "ribbons", "--key", key, "--vars", str(m), *fmt)
@@ -388,16 +387,16 @@ class TestCaps:
         payload = json.loads(out)
         assert payload["vars"] == 7
         terms = payload["sum"]["terms"]
-        assert VARS_TERM_CAP // 2 < len(terms) <= math.comb(23, 6)
+        assert ITEM_CAP // 2 < len(terms) <= math.comb(23, 6)
         assert all(len(t["exp"]) == 7 and sum(t["exp"]) == 17 and t["coeff"] > 0 for t in terms)
 
     def test_ribbons_term_cap_is_exact(self, capsys, monkeypatch):
         terms = math.comb(9 + 9 - 1, 9 - 1)  # the benchmark's 9,18,1n probe
-        assert terms <= VARS_TERM_CAP
-        monkeypatch.setattr(cli, "VARS_TERM_CAP", terms)
+        assert terms <= ITEM_CAP
+        monkeypatch.setattr(cli, "ITEM_CAP", terms)
         code, out, _ = run(capsys, "ribbons", "--key", "9,18,1n", "--vars", "--json")
         assert code == 0 and json.loads(out)["vars"] == 9
-        monkeypatch.setattr(cli, "VARS_TERM_CAP", terms - 1)
+        monkeypatch.setattr(cli, "ITEM_CAP", terms - 1)
         code, out, err = run(capsys, "ribbons", "--key", "9,18,1n", "--vars", "--json")
         assert code == 3 and out == ""
         assert err == f"domain error: {terms} terms in 9 variables beyond the cap {terms - 1} (use --force)\n"
@@ -455,9 +454,80 @@ class TestCaps:
         elapsed = time.perf_counter() - started
         assert code == 0
         payload = json.loads(out)
-        assert payload["key"] == {"n": CLOSURE_CAP, "inv": 15, "oneBeforeN": True}
+        assert payload["key"] == {"n": 9, "inv": 15, "oneBeforeN": True}
         assert payload["size"] == len(payload["members"]) == 18126
         assert elapsed < 1.0
+
+    def test_class_of_largest_class_under_item_cap_within_a_second(self, capsys):
+        for fmt in (["--json"], []):
+            started = time.perf_counter()
+            code, out, _ = run(capsys, "class-of", "1,2,6,10,9,8,7,5,4,3", *fmt)
+            elapsed = time.perf_counter() - started
+            assert code == 0
+            assert elapsed < 1.0
+        assert out.splitlines()[:3] == ["key: 10,24,1n", "canonical: 1,2,6,10,9,8,7,5,4,3", "size: 97862"]
+
+    @pytest.mark.parametrize("n", [30, LISTING_CAP])
+    def test_class_of_near_inversion_bounds_within_a_second(self, capsys, n):
+        # n before 1 with the fewest inversions, and its reverse, 1 before n
+        # with the most: n - 1 members each
+        for p, key in [
+            ([n, *range(1, n)], {"n": n, "inv": n - 1, "oneBeforeN": False}),
+            ([*range(n - 1, 0, -1), n], {"n": n, "inv": math.comb(n - 1, 2), "oneBeforeN": True}),
+        ]:
+            started = time.perf_counter()
+            code, out, _ = run(capsys, "class-of", ",".join(map(str, p)), "--json")
+            elapsed = time.perf_counter() - started
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["key"] == key
+            assert payload["size"] == len(payload["members"]) == n - 1
+            assert p in payload["members"]
+            assert elapsed < 1.0
+
+    def test_class_size_cap_is_exact(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ITEM_CAP", 15)  # the size of 12543's class
+        code, out, _ = run(capsys, "class-of", "12543")
+        assert code == 0 and out.splitlines()[2] == "size: 15"
+        monkeypatch.setattr(cli, "ITEM_CAP", 14)
+        with monkeypatch.context() as patched:
+            # refused before any member is built
+            patched.setattr(forgotten, "class_members", lambda key: pytest.fail("members built past the cap"))
+            code, out, err = run(capsys, "class-of", "12543")
+        assert (code, out) == (3, "")
+        assert err == "domain error: 15 members beyond the cap 14 (use --force)\n"
+
+    def test_class_of_beyond_listing_cap_refused_before_counting(self, capsys, monkeypatch):
+        n = LISTING_CAP + 1
+        monkeypatch.setattr(forgotten, "descent_class_counts", lambda parts: pytest.fail("class size counted"))
+        code, out, err = run(capsys, "class-of", ",".join(map(str, range(1, n + 1))))
+        assert (code, out) == (3, "")
+        assert err == f"domain error: n={n} beyond the listing cap {LISTING_CAP} (use --force)\n"
+
+    def test_class_of_small_class_at_n30(self, capsys):
+        identity = list(range(1, 31))
+        code, out, _ = run(capsys, "class-of", ",".join(map(str, identity)))
+        assert code == 0
+        assert out.splitlines()[2] == "size: 1"
+        code, out, _ = run(capsys, "class-of", ",".join(map(str, identity)), "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "key": {"n": 30, "inv": 0, "oneBeforeN": True}, "canonical": identity, "size": 1, "members": [identity],
+        }
+
+    def test_class_of_force_lifts_both_caps(self, capsys, monkeypatch):
+        monkeypatch.setattr(forgotten, "descent_class_counts", lambda parts: pytest.fail("class size counted"))
+        code, out, _ = run(capsys, "class-of", ",".join(map(str, range(1, LISTING_CAP + 2))), "--force")
+        assert code == 0 and out.splitlines()[2] == "size: 1"
+        monkeypatch.setattr(cli, "ITEM_CAP", 14)
+        code, out, _ = run(capsys, "class-of", "12543", "--force")
+        assert code == 0 and out.splitlines()[2] == "size: 15"
+
+    def test_commute_has_no_degree_cap(self, capsys):
+        # e_k is 0 for k > q, so the alphabet cap bounds every degree pair
+        code, out, _ = run(capsys, "commute", "4", "5", "--alphabet", "5")
+        assert code == 0
+        assert out == "e_4 e_5 = e_5 e_4 over 1..5\n"
 
     @pytest.mark.parametrize("n", [9, LISTING_CAP])
     def test_classes_with_sizes_within_a_second(self, capsys, n):

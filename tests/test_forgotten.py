@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -625,6 +626,20 @@ class TestClosedFormClasses:
             counts = Counter(inversion_number(w) for w in set(itertools.permutations(letters)))
             expected = [counts[i] for i in range(max(counts) + 1)]
             assert _q_multinomial(parts, {}) == expected, parts
+
+    @pytest.mark.parametrize("n", [12, 20, 30, 50])
+    def test_members_of_small_classes_at_large_n(self, n):
+        # keys next to their inversion bounds, where a walk that fixes the
+        # sign too late explores about 2^inv dead prefixes
+        started = time.perf_counter()
+        for key, size in class_sizes(n).items():
+            if size <= 2_000:
+                members = class_members(key)
+                assert len(members) == size, key
+                assert members == sorted(set(members)), key
+                assert all(class_key(p) == key for p in members), key
+                assert members[0] == canonical_of_key(key), key
+        assert time.perf_counter() - started < 2.0
 
     def test_sizes_need_n_at_least_2(self):
         with pytest.raises(ValueError):

@@ -89,7 +89,7 @@ def by_recoil(n):
     return groups
 
 
-class TestTruncatedPolynomial:
+class TestClassQsymSumTerms:
     """The term maps of class_qsym_sum: homogeneous of degree n in m variables."""
 
     def test_validation(self):
