@@ -11,17 +11,23 @@ This is the package's one rule table; on permutations only the last two
 rules act.  No orientation of these rules is assumed confluent; a class's
 normal form is simply the lexicographically least word of its closure, which
 is cheap to compute at the word lengths used here.
+
+The one class search codes a word by the rank of each letter among its own
+distinct letters, one hex digit per letter, so a word has at most 16
+distinct letters.  commute_check counts each class of the two products by
+sign on these codes, searching only until the class holds no more of their
+words, and keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .perms import Word
 
 _normal_form_cache: dict[Word, Word] = {}
+_HEX = b"0123456789abcdef"
 
 
 def _rewrite_window(x: int, y: int, z: int) -> tuple[int, int, int] | None:
@@ -62,38 +68,67 @@ def general_moves(w: Sequence[int]) -> set[Word]:
     return moves
 
 
-def _window_masks(letters: bytes) -> dict[int, int]:
-    """The rule table over these letters as {window code: xor mask}: a
-    three-byte window code xor its mask is the code of the window's image."""
+def _window_masks(letters: Iterable[int], bits: int = 8) -> dict[int, int]:
+    """The rule table over these letters as {window code: xor mask}: a window
+    code (bits per letter) xor its mask is the code of the window's image."""
     masks = {}
     for x, y, z in itertools.product(set(letters), repeat=3):
         if image := _rewrite_window(x, y, z):
             a, b, c = image
-            masks[x << 16 | y << 8 | z] = (x ^ a) << 16 | (y ^ b) << 8 | z ^ c
+            masks[(x << bits | y) << bits | z] = ((x ^ a) << bits | y ^ b) << bits | z ^ c
     return masks
 
 
-def word_closure(w: Sequence[int]) -> set[Word]:
-    """The full rewriting class of w; on a permutation only the distinct-letter
-    rules act, so this is its forgotten class.  The search codes each word as
-    an integer, one byte per letter (so letters lie in 0..255, else
-    ValueError), and rewrites its windows by the xor masks of _window_masks."""
-    start = bytes(w)
-    n = len(start)
-    get = _window_masks(start).get
-    shifts = range(0, 8 * n - 16, 8)
-    stack = [int.from_bytes(start, "big")]
+def _rank_rules(k: int) -> list[int]:
+    """The rule table over the ranks 0..k-1 as a list of xor masks (0: no
+    rule), indexed by the nibble code of a three-letter window."""
+    rules = [0] * (0x111 * k)
+    for window, mask in _window_masks(range(k), 4).items():
+        rules[window] = mask
+    return rules
+
+
+def _rank_code(w: bytes) -> tuple[bytes, int]:
+    """w's distinct letters in order, and w coded by their ranks, one hex
+    digit per letter; rank order is letter order, so the rules and the
+    lexicographic order carry over."""
+    letters = bytes(sorted(set(w)))
+    if len(letters) > 16:
+        raise ValueError(f"letters are coded by rank in one hex digit, so at most 16 distinct ones, got {len(letters)}")
+    return letters, int(w.translate(bytes.maketrans(letters, _HEX[:len(letters)])), 16)
+
+
+def _class_codes(code: int, n: int, rules: list[int]) -> Iterator[int]:
+    """The codes of the class of the n-letter word with this rank code, each
+    yielded once as the search meets it, so a caller may stop early."""
+    shifts = range(0, 4 * n - 8, 4)
+    stack = [code]
     seen = set(stack)
+    yield code
     while stack:
         current = stack.pop()
         for shift in shifts:
-            mask = get(current >> shift & 0xFFFFFF)
+            mask = rules[current >> shift & 0xFFF]
             if mask:
                 u = current ^ mask << shift
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-    return {tuple(c.to_bytes(n, "big")) for c in seen}
+                    yield u
+
+
+def word_closure(w: Sequence[int]) -> set[Word]:
+    """The full rewriting class of w; on a permutation only the distinct-letter
+    rules act, so this is its forgotten class.  Letters lie in 0..255 and a
+    word has at most 16 distinct ones, else ValueError: the search codes each
+    word by _rank_code and rewrites its windows by the masks of _rank_rules."""
+    start = bytes(w)
+    n = len(start)
+    if n < 3:
+        return {tuple(start)}
+    letters, code = _rank_code(start)
+    ranks = bytes.maketrans(_HEX[:len(letters)], letters)
+    return {tuple(f"{c:0{n}x}".encode().translate(ranks)) for c in _class_codes(code, n, _rank_rules(len(letters)))}
 
 
 def word_normal_form(w: Sequence[int]) -> Word:
@@ -119,8 +154,10 @@ def commute_check(i: int, j: int, alphabet_size: int) -> bool:
     True iff e_i and e_j commute in the quotient over 1..alphabet_size, e_k
     being the sum of the strictly decreasing words of length k.  A word of
     e_i e_j splits into its two factors one way only, so both products are
-    0-1 sums of words, compared here as the normal forms of the words they
-    do not share.
+    0-1 sums of words.  The words they do not share count +1 and -1, and
+    the products commute iff every class's signs sum to 0.  Words are
+    grouped by content, which a class keeps, and each search stops once it
+    has met every word left in its group.
     """
     if i < 1 or j < 1:
         raise ValueError(f"degrees must be positive, got ({i}, {j})")
@@ -134,7 +171,21 @@ def commute_check(i: int, j: int, alphabet_size: int) -> bool:
     ij = {u + v for u in e_i for v in e_j}
     ji = {v + u for u in e_i for v in e_j}
     shared = ij & ji
-    return Counter(map(word_normal_form, ij - shared)) == Counter(map(word_normal_form, ji - shared))
+    signed: dict[bytes, dict[int, int]] = {}
+    for sign, terms in ((1, ij - shared), (-1, ji - shared)):
+        for w in terms:
+            signed.setdefault(bytes(sorted(w)), {})[_rank_code(bytes(w))[1]] = sign
+    rules = _rank_rules(max(map(len, map(set, signed)), default=0))
+    for coded in signed.values():
+        while coded:
+            code, total = coded.popitem()
+            for u in _class_codes(code, i + j, rules):
+                if not coded:
+                    break
+                total += coded.pop(u, 0)
+            if total:
+                return False
+    return True
 
 
 def orientation_counterexamples(
@@ -148,8 +199,9 @@ def orientation_counterexamples(
 
     Each length is scanned in lexicographic order, which meets every lower
     move of w before w: w's stalls are the union of theirs, or w alone.
-    Words are coded as in word_closure (letters at most 255), so that order
-    is integer order and only the descending masks are kept.
+    Words are coded one byte per letter (letters at most 255, and the
+    alphabet may pass the 16 ranks of word_closure), so that order is
+    integer order and only the descending masks are kept.
 
     >>> orientation_counterexamples(4, 3, limit=1)
     [((2, 2, 1, 3), ((1, 2, 3, 2), (2, 1, 2, 3)))]

@@ -351,7 +351,7 @@ class TestCaps:
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("key", ["8,10,n1", "9,18,1n"])
-    def test_ribbons_with_vars_near_closure_cap_within_a_second(self, capsys, key):
+    def test_ribbons_with_vars_at_n8_n9_within_a_second(self, capsys, key):
         started = time.perf_counter()
         code, out, _ = run(capsys, "ribbons", "--key", key, "--vars", "--json")
         elapsed = time.perf_counter() - started
@@ -448,7 +448,7 @@ class TestCaps:
         code, out, _ = run(capsys, command, "2,5,1,4,6,3", "--force")
         assert code == 0 and out == ",".join(map(str, expected)) + "\n"
 
-    def test_class_of_largest_class_at_closure_cap_within_a_second(self, capsys):
+    def test_class_of_largest_class_at_n9_within_a_second(self, capsys):
         started = time.perf_counter()
         code, out, _ = run(capsys, "class-of", "1,2,3,9,8,7,6,5,4", "--json")
         elapsed = time.perf_counter() - started

@@ -73,7 +73,7 @@ def assert_closures_match_bfs(ws):
 
 
 class TestCodedClosure:
-    """word_closure searches byte-coded words; plain BFS is the oracle."""
+    """word_closure searches rank-coded words; plain BFS is the oracle."""
 
     def test_all_short_words_match_bfs(self):
         assert_closures_match_bfs(
@@ -95,6 +95,15 @@ class TestCodedClosure:
                 assert (code ^ masks[code]).to_bytes(3, "big") == bytes(image), window
         assert len(masks) == sum(words._rewrite_window(*window) is not None for window in windows)
 
+    def test_rank_rules_rewrite_each_window_to_its_image(self):
+        rules = words._rank_rules(16)
+        assert len(rules) == 0x111 * 16
+        for window in itertools.product(range(16), repeat=3):
+            code = window[0] << 8 | window[1] << 4 | window[2]
+            image = words._rewrite_window(*window)
+            expected = 0 if image is None else code ^ (image[0] << 8 | image[1] << 4 | image[2])
+            assert rules[code] == expected, window
+
     def test_verify_partition_matches_bfs(self):
         ws = [w for length in range(1, 5) for w in itertools.product(range(1, 4), repeat=length)]
         classes = verify.closure_partition(4, 3)
@@ -103,6 +112,28 @@ class TestCodedClosure:
     def test_extreme_letters_round_trip(self):
         assert word_closure((0, 255, 0)) == {(0, 255, 0), (255, 0, 0)}
         assert_closures_match_bfs(itertools.product((0, 1, 254, 255), repeat=5))
+
+    def test_gapped_and_high_letters_match_bfs(self):
+        assert_closures_match_bfs(itertools.product((3, 90, 200, 255), repeat=6))
+        assert_closures_match_bfs(itertools.permutations((3, 17, 90, 128, 200, 255)))
+
+    def test_near_increasing_sixteen_letter_words_match_bfs(self):
+        # 16 distinct letters, every rank digit 0..f used; one transposition of
+        # letters at most two apart (classes of 15 and 664 members)
+        increasing = tuple(range(5, 245, 15))
+        assert len(increasing) == 16
+        ws = [increasing]
+        for i, j in itertools.combinations(range(16), 2):
+            w = list(increasing)
+            w[i], w[j] = w[j], w[i]
+            if j - i <= 2:
+                ws.append(tuple(w))
+        assert_closures_match_bfs(ws)
+
+    def test_seventeen_distinct_letters_are_rejected(self):
+        assert len(word_closure(tuple(range(1, 17)))) == 1
+        with pytest.raises(ValueError, match="at most 16 distinct ones, got 17"):
+            word_closure(tuple(range(1, 18)))
 
     @pytest.mark.parametrize("w", [(256,), (1, 256, 2), (-1,), (2, -1, 3)])
     def test_letters_outside_a_byte_are_rejected(self, w):
@@ -142,32 +173,33 @@ def product(first, second):
     return Counter(u + v for u in first for v in second)
 
 
-def brute_commutes(i, j, q):
+def brute_commutes(i, j, q, closure=word_closure):
     """commute_check from the full products, each word reduced by an uncached closure."""
     def reduced(a, b):
-        return Counter(min(word_closure(w)) for w in product(elementary(a, q), elementary(b, q)).elements())
+        return Counter(min(closure(w)) for w in product(elementary(a, q), elementary(b, q)).elements())
     return reduced(i, j) == reduced(j, i)
 
 
-def identity(w):
-    return tuple(w)
+def singleton(code, n, rules):
+    """A class search with no rules: every class is its one word."""
+    return {code}
 
 
-def unreachable(w):
-    raise AssertionError(f"normal form of {w} requested")
+def unreachable(code, n, rules):
+    raise AssertionError(f"class of {code:0{n}x} requested")
 
 
-class TestNCPolynomial:
+class TestCommuteProducts:
     """e_i e_j and e_j e_i as the 0-1 word sums that commute_check compares."""
 
     def test_zero_and_unit(self, monkeypatch):
         # e_k = 0 for k > q, and 0 commutes with everything
-        monkeypatch.setattr(words, "word_normal_form", identity)
+        monkeypatch.setattr(words, "_class_codes", singleton)
         assert commute_check(4, 1, 3) and commute_check(1, 4, 3)
 
     def test_zero_coefficients_pruned(self, monkeypatch):
-        # words both products share cancel before any normal form is taken
-        monkeypatch.setattr(words, "word_normal_form", unreachable)
+        # words both products share cancel before any class is searched
+        monkeypatch.setattr(words, "_class_codes", unreachable)
         for q in range(1, 5):
             for i in range(1, 4):
                 assert commute_check(i, i, q)
@@ -176,7 +208,7 @@ class TestNCPolynomial:
         for q in (0, -1):
             with pytest.raises(ValueError):
                 commute_check(1, 2, q)
-        # letters are coded as bytes; refused even where no normal form is taken
+        # letters are coded as bytes; refused even where no class is searched
         with pytest.raises(ValueError, match="at most 255 of them, got 256"):
             commute_check(1, 1, 256)
 
@@ -199,7 +231,7 @@ class TestNCPolynomial:
     def test_text_form(self, capsys, monkeypatch):
         assert main(["commute", "1", "2", "--alphabet", "2"]) == 0
         assert capsys.readouterr().out == "e_1 e_2 = e_2 e_1 over 1..2\n"
-        monkeypatch.setattr(words, "word_normal_form", identity)
+        monkeypatch.setattr(words, "_class_codes", singleton)
         assert main(["commute", "1", "2", "--alphabet", "2"]) == 0
         assert capsys.readouterr().out == "e_1 e_2 != e_2 e_1 over 1..2\n"
 
@@ -228,7 +260,7 @@ class TestElementary:
 class TestReduction:
     def test_zero(self, monkeypatch):
         # both products are 0, so nothing is reduced
-        monkeypatch.setattr(words, "word_normal_form", unreachable)
+        monkeypatch.setattr(words, "_class_codes", unreachable)
         assert commute_check(4, 5, 3)
 
     def test_two_letter_commutator_reduces_to_zero(self):
@@ -256,21 +288,37 @@ class TestReduction:
 
     def test_identity_normal_form_does_not_commute(self, monkeypatch):
         # without the quotient e_1 e_2 != e_2 e_1, so the check is not vacuous
-        monkeypatch.setattr(words, "word_normal_form", identity)
+        monkeypatch.setattr(words, "_class_codes", singleton)
         assert not commute_check(1, 2, 2)
         e1, e2 = elementary(1, 2), elementary(2, 2)
         assert product(e1, e2) != product(e2, e1)
 
-    def test_matches_brute_force_with_cold_and_warm_cache(self):
+    def test_matches_brute_force_in_either_order_and_keeps_no_state(self):
         cases = [(i, j, q) for q in range(1, 5) for i in range(1, 6) for j in range(1, 7 - i)]
-        expected = [brute_commutes(*case) for case in cases]
-        cold = []
-        for case in cases:
-            words._normal_form_cache.clear()
-            cold.append(commute_check(*case))
-        warm = [commute_check(*case) for case in cases]
-        assert words._normal_form_cache
-        assert cold == warm == expected
+        expected = {case: brute_commutes(*case) for case in cases}
+        words._normal_form_cache.clear()
+        for case in cases + cases[::-1]:
+            assert commute_check(*case) == expected[case], case
+        assert not words._normal_form_cache
+
+    @pytest.mark.parametrize("distinct", [True, False])
+    def test_matches_brute_force_on_half_the_rules(self, monkeypatch, distinct):
+        # only the distinct-letter rules, or only the repeated-letter ones:
+        # classes split and some products do not commute, so each search that
+        # stops early must still sum its own class alone
+        rewrite = words._rewrite_window
+        monkeypatch.setattr(words, "_rewrite_window",
+                            lambda x, y, z: rewrite(x, y, z) if (len({x, y, z}) == 3) == distinct else None)
+        cases = [(i, j, q) for q in range(1, 5) for i in range(1, 5) for j in range(1, 6 - i)]
+        found = {case: commute_check(*case) for case in cases}
+        assert found == {case: brute_commutes(*case, closure=bfs_closure) for case in cases}
+        assert not all(found.values())
+
+    @pytest.mark.parametrize("q", [17, 30])
+    def test_matches_brute_force_beyond_sixteen_letters(self, q):
+        # each word has at most i + j distinct letters, however large q is
+        for i, j in [(1, 1), (1, 2), (2, 1)]:
+            assert commute_check(i, j, q) == brute_commutes(i, j, q), (i, j, q)
 
 
 def descent_endpoints(w):
