@@ -568,12 +568,11 @@ def check_normal_form_invariance(max_len: int) -> Outcome:
 
 @check("commutation", name="elementary_commutation")
 def check_commutation() -> Outcome:
-    for alphabet in (2, 3, 4):
-        for i in range(1, 4):
-            for j in range(1, 4):
-                if not words.commute_check(i, j, alphabet):
-                    return _fail(f"e_{i} and e_{j} fail to commute over q={alphabet}", (i, j, alphabet))
-    return "e_i e_j = e_j e_i in the quotient for i,j <= 3, q <= 4"
+    for i, j in itertools.product(range(1, 4), repeat=2):
+        for alphabet in (2, 3, 4, i + j):
+            if not words.commute_check(i, j, alphabet):
+                return _fail(f"e_{i} and e_{j} fail to commute over q={alphabet}", (i, j, alphabet))
+    return "e_i e_j = e_j e_i in the quotient for i,j <= 3, q <= 4 and q = i + j, so for every q by relabeling"
 
 
 @check("commutation", 6)

@@ -157,25 +157,28 @@ def commute_check(i: int, j: int, alphabet_size: int) -> bool:
     0-1 sums of words.  The words they do not share count +1 and -1, and
     the products commute iff every class's signs sum to 0.  Words are
     grouped by content, which a class keeps, and each search stops once it
-    has met every word left in its group.
+    has met every word left in its group.  The rules see only the order of
+    letters, so a group with k distinct letters relabels the one on exactly
+    1..k, k <= top = min(q, i + j): only those are searched, every q >= i + j
+    answers as q = i + j does, and top > 16 (the rank coding's limit) is refused.
     """
     if i < 1 or j < 1:
         raise ValueError(f"degrees must be positive, got ({i}, {j})")
     if alphabet_size < 1:
         raise ValueError(f"alphabet size must be positive, got {alphabet_size}")
-    if alphabet_size > 255:
-        raise ValueError(f"letters are coded as bytes, so at most 255 of them, got {alphabet_size}")
-    alphabet = range(alphabet_size, 0, -1)
-    e_i = list(itertools.combinations(alphabet, i))
-    e_j = list(itertools.combinations(alphabet, j))
-    ij = {u + v for u in e_i for v in e_j}
-    ji = {v + u for u in e_i for v in e_j}
+    top = min(alphabet_size, i + j)
+    if top > 16:
+        raise ValueError(f"letters are coded by rank in one hex digit, so at most 16 distinct ones, got {top}")
+    e_i = list(itertools.combinations(range(top, 0, -1), i))
+    e_j = list(itertools.combinations(range(top, 0, -1), j))
+    ij = {w for u in e_i for v in e_j if max(w := u + v) == len(set(w))}
+    ji = {w for u in e_i for v in e_j if max(w := v + u) == len(set(w))}
     shared = ij & ji
     signed: dict[bytes, dict[int, int]] = {}
     for sign, terms in ((1, ij - shared), (-1, ji - shared)):
         for w in terms:
             signed.setdefault(bytes(sorted(w)), {})[_rank_code(bytes(w))[1]] = sign
-    rules = _rank_rules(max(map(len, map(set, signed)), default=0))
+    rules = _rank_rules(top)
     for coded in signed.values():
         while coded:
             code, total = coded.popitem()

@@ -248,13 +248,19 @@ class TestExitCodes:
         assert err == "domain error: 152378 members beyond the cap 100000 (use --force)\n"
 
     def test_commute_cap(self, capsys):
-        code, _, err = run(capsys, "commute", "2", "3", "--alphabet", "6")
-        assert code == 3
+        # the cap bounds min(q, i + j), the letters searched: 2 3 at 6 searches 5
+        code, out, err = run(capsys, "commute", "3", "3", "--alphabet", "6")
+        assert (code, out) == (3, "")
+        assert err == "domain error: 6 letters beyond the cap 5 (use --force)\n"
 
     def test_commute_alphabet_beyond_a_byte(self, capsys):
-        code, out, err = run(capsys, "commute", "2", "1", "--alphabet", "256", "--force")
+        code, out, err = run(capsys, "commute", "2", "1", "--alphabet", "256")
+        assert (code, out, err) == (0, "e_2 e_1 = e_1 e_2 over 1..256\n", "")
+
+    def test_commute_empty_alphabet(self, capsys):
+        code, out, err = run(capsys, "commute", "1", "2", "--alphabet", "0")
         assert (code, out) == (3, "")
-        assert err == "domain error: letters are coded as bytes, so at most 255 of them, got 256\n"
+        assert err == "domain error: alphabet size must be positive, got 0\n"
 
     def test_key_out_of_range_is_domain_error(self, capsys):
         code, _, err = run(capsys, "canonical", "--key", "5,9,1n")
@@ -524,7 +530,8 @@ class TestCaps:
         assert code == 0 and out.splitlines()[2] == "size: 15"
 
     def test_commute_has_no_degree_cap(self, capsys):
-        # e_k is 0 for k > q, so the alphabet cap bounds every degree pair
+        # the cap bounds min(q, i + j), not the degrees; e_k is 0 for k > q,
+        # and 4 5 is the slowest pair at the cap
         code, out, _ = run(capsys, "commute", "4", "5", "--alphabet", "5")
         assert code == 0
         assert out == "e_4 e_5 = e_5 e_4 over 1..5\n"

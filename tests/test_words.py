@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter, deque
 from functools import lru_cache
 
@@ -208,9 +209,13 @@ class TestCommuteProducts:
         for q in (0, -1):
             with pytest.raises(ValueError):
                 commute_check(1, 2, q)
-        # letters are coded as bytes; refused even where no class is searched
-        with pytest.raises(ValueError, match="at most 255 of them, got 256"):
-            commute_check(1, 1, 256)
+        # min(q, i + j) letters are coded by rank, at most 16: refused before
+        # any word is built, and any larger alphabet searches only i + j letters
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="at most 16 distinct ones, got 17"):
+            commute_check(8, 9, 17)
+        assert time.perf_counter() - started < 0.5
+        assert commute_check(1, 1, 256)
 
     def test_product_expansion(self):
         e1 = elementary(1, 2)
@@ -309,10 +314,14 @@ class TestReduction:
         rewrite = words._rewrite_window
         monkeypatch.setattr(words, "_rewrite_window",
                             lambda x, y, z: rewrite(x, y, z) if (len({x, y, z}) == 3) == distinct else None)
-        cases = [(i, j, q) for q in range(1, 5) for i in range(1, 5) for j in range(1, 6 - i)]
+        pairs = [(i, j) for i in range(1, 5) for j in range(1, 6 - i)]
+        cases = [(i, j, q) for i, j in pairs for q in [*range(1, 5), i + j + 1, i + j + 2]]
         found = {case: commute_check(*case) for case in cases}
         assert found == {case: brute_commutes(*case, closure=bfs_closure) for case in cases}
-        assert not all(found.values())
+        assert not all(found[i, j, i + j + 2] for i, j in pairs)
+        # each content group relabels onto 1..k with k <= i + j
+        for i, j in pairs:
+            assert {commute_check(i, j, q) for q in range(i + j, 301)} == {commute_check(i, j, i + j)}, (i, j)
 
     @pytest.mark.parametrize("q", [17, 30])
     def test_matches_brute_force_beyond_sixteen_letters(self, q):
