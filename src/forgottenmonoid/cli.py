@@ -33,8 +33,10 @@ LISTING_CAP = 50
 CANONICAL_CAP = 1_000_000
 SHAPE_CAP = 20
 # class-of lists at most this many members, and ribbons --vars at most this
-# many exponent vectors, C(n + M - 1, M - 1): about 0.3-0.4 s at the cap at
-# n = 10; the largest class under it at n = 50 (57,526 members) takes 1.1 s.
+# many exponent vectors, C(n + M - 1, M - 1).  Cold, best of 3 on a 2-core
+# Intel Xeon: class-of takes 0.25 s at the cap at n = 10 and 0.45 s on the
+# largest class under it at n = 50 (57,526 members); ribbons --vars 0.38 s at
+# n = M = 10.
 ITEM_CAP = 100_000
 # commute searches min(q, i + j) letters; 4 5 at 5, the slowest, takes 0.04 s.
 COMMUTE_ALPHABET_CAP = 5
@@ -89,16 +91,23 @@ def _cmd_class_of(args: argparse.Namespace) -> int:
     if not args.force:
         size = forgotten.class_sizes(n)[key]  # closed form, before any member is built
         _require(size <= ITEM_CAP, f"{size} members beyond the cap {ITEM_CAP} (use --force)")
-    members = forgotten.class_members(key)
-    canonical = members[0]  # members come in lexicographic order
-    return _emit(args, lambda: {
-        "key": key.to_json_dict(), "canonical": canonical, "size": len(members), "members": members,
-    }, lambda: [
-        f"key: {key}",
-        f"canonical: {format_permutation(canonical)}",
-        f"size: {len(members)}",
-        "members: " + " ".join(map(format_permutation, members)),
-    ])
+    # Each member as text, its letters joined by sep between left and right,
+    # in lexicographic order: the members of a walk block share all but
+    # their last min(5, n) letters, so each block's prefix is formatted once.
+    sep, left, right = (", ", "[", "]") if args.json else (",", "", "")
+    letters = list(map(str, range(n + 1)))
+    spaced = [text + sep for text in letters]
+    members: list[str] = []
+    for prefix, unused, getters in forgotten._member_blocks(key):
+        head = left + "".join([spaced[x] for x in prefix])
+        tail = [letters[x] for x in (0, *unused)]
+        members += [head + sep.join(get(tail)) + right for get in getters]
+    if args.json:  # as json.dumps writes the payload
+        print(f'{{"key": {json.dumps(key.to_json_dict())}, "canonical": {members[0]}, '
+              f'"size": {len(members)}, "members": [{", ".join(members)}]}}')
+    else:
+        print(f"key: {key}\ncanonical: {members[0]}\nsize: {len(members)}\nmembers: {' '.join(members)}")
+    return EXIT_OK
 
 
 def _cmd_canonical(args: argparse.Namespace) -> int:

@@ -257,9 +257,11 @@ def all_class_keys(n: int) -> list[ClassKey]:
     return sorted(keys, key=lambda k: (k.inv, not k.one_before_n))
 
 
-def class_members(key: ClassKey) -> list[Perm]:
+def _member_blocks(key: ClassKey) -> Iterator[tuple[Perm, Perm, Sequence[itemgetter]]]:
     """
-    Every member of the keyed class in lexicographic order, built letter by
+    The members of the keyed class in lexicographic order, in blocks that
+    share a prefix: each (prefix, unused, getters) stands for the members
+    prefix + get((0,) + unused), get in getters.  They are built letter by
     letter as an inversion table: the c-th smallest unused letter (from 0)
     adds c inversions, m letters hold at most C(m, 2), and the first of 1
     and n placed fixes the sign.  While 1 and n are both unused, m letters
@@ -269,16 +271,13 @@ def class_members(key: ClassKey) -> list[Perm]:
     prefix on the stack extends to a member, and the walk costs O(n) prefixes
     per member.
 
-    The walk stops with t = min(5, n) letters left.  Their inversions depend
-    only on their rank order, and so does the sign while 1 and n (ranks 0
-    and t-1) are both unused, so a table built per call from sweep(t) maps
-    (inversions left, sign or None once fixed) to the arrangements of S_t in
-    lexicographic order, each as an itemgetter over the unused letters.  A
-    leaf costs one call and one tuple concatenation per member; the table
-    costs t! <= 120 itemgetters per call and holds no state between calls.
-
-    >>> class_members(ClassKey(4, 1, True))
-    [(1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)]
+    A block is yielded with t = min(5, n) letters left.  Their inversions
+    depend only on their rank order, and so does the sign while 1 and n
+    (ranks 0 and t-1) are both unused, so a table built per call from
+    sweep(t) maps (inversions left, sign or None once fixed) to the
+    arrangements of S_t in lexicographic order, each as an itemgetter over
+    the unused letters after a pad.  The table costs t! <= 120 itemgetters
+    per call and holds no state between calls.
     """
     n, want = key.n, key.one_before_n
     t = min(5, n)
@@ -287,7 +286,6 @@ def class_members(key: ClassKey) -> list[Perm]:
         get = itemgetter(*p)  # 1-based, over the unused letters after a pad
         tails.setdefault((inv, one_first), []).append(get)
         tails.setdefault((inv, None), []).append(get)
-    members: list[Perm] = []
     # (prefix, unused letters increasing, inversions owed, sign fixed); children
     # go on the stack in reverse, so they pop in lexicographic order.  Until
     # the sign is fixed, 1 and n are both unused: increasing puts 1 first.
@@ -295,9 +293,10 @@ def class_members(key: ClassKey) -> list[Perm]:
     while stack:
         prefix, unused, rem, signed = stack.pop()
         m = len(unused)
-        if m == t:
-            tail = (0,) + unused
-            members += [prefix + get(tail) for get in tails.get((rem, None if signed else want), ())]
+        if m == t or not rem:
+            # with no inversions owed the letters left are increasing, so the
+            # block is reached at once
+            yield prefix + unused[:m - t], unused[m - t:], tails.get((rem, None if signed else want), ())
             continue
         for c in reversed(range(max(0, rem - (m - 1) * (m - 2) // 2), min(m - 1, rem) + 1)):
             x = unused[c]
@@ -310,6 +309,21 @@ def class_members(key: ClassKey) -> list[Perm]:
                 elif rem - c > (m - 2) * (m - 3) // 2 if want else rem - c < m - 2:
                     continue
             stack.append((prefix + (x,), unused[:c] + unused[c + 1:], rem - c, signed or x in (1, n)))
+
+
+def class_members(key: ClassKey) -> list[Perm]:
+    """
+    Every member of the keyed class in lexicographic order, with no closure:
+    the blocks of _member_blocks flattened, one call and one tuple
+    concatenation per member.
+
+    >>> class_members(ClassKey(4, 1, True))
+    [(1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)]
+    """
+    members: list[Perm] = []
+    for prefix, unused, getters in _member_blocks(key):
+        tail = (0,) + unused
+        members += [prefix + get(tail) for get in getters]
     return members
 
 

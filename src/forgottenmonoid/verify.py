@@ -130,9 +130,10 @@ def closure_partition(n: int, alphabet: int | None = None) -> tuple[frozenset[Wo
     least words: of S_n, or with alphabet=q of the words of length 1..n over 1..q."""
     seen: set[Word] = set()
     classes: list[frozenset[Word]] = []
+    rules = words._rank_rules(n if alphabet is None else min(n, alphabet))  # one table for the space
     for w in all_permutations(n) if alphabet is None else _words_upto(n, alphabet):
         if w not in seen:
-            members = frozenset(words.word_closure(w))
+            members = frozenset(words._closure(bytes(w), rules))
             seen |= members
             classes.append(members)
     return tuple(classes)

@@ -123,12 +123,19 @@ def word_closure(w: Sequence[int]) -> set[Word]:
     word has at most 16 distinct ones, else ValueError: the search codes each
     word by _rank_code and rewrites its windows by the masks of _rank_rules."""
     start = bytes(w)
+    return _closure(start, _rank_rules(min(len(set(start)), 16)))  # _rank_code refuses more
+
+
+def _closure(start: bytes, rules: list[int]) -> set[Word]:
+    """word_closure of start under rules, a _rank_rules table over at least as
+    many ranks as start has distinct letters: a table over k ranks holds the
+    one over fewer, so a caller closing many words builds one."""
     n = len(start)
     if n < 3:
         return {tuple(start)}
     letters, code = _rank_code(start)
     ranks = bytes.maketrans(_HEX[:len(letters)], letters)
-    return {tuple(f"{c:0{n}x}".encode().translate(ranks)) for c in _class_codes(code, n, _rank_rules(len(letters)))}
+    return {tuple(f"{c:0{n}x}".encode().translate(ranks)) for c in _class_codes(code, n, rules)}
 
 
 def word_normal_form(w: Sequence[int]) -> Word:

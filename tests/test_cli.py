@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import re
 import time
 
@@ -12,7 +13,7 @@ from forgottenmonoid import cli, forgotten, qsym, verify
 from forgottenmonoid.cli import (
     CANONICAL_CAP, CONFLUENCE_LIMIT, CONFLUENCE_SCAN_CAP, ITEM_CAP, LISTING_CAP, SHAPE_CAP, main,
 )
-from forgottenmonoid.perms import descent_set
+from forgottenmonoid.perms import descent_set, format_permutation
 from forgottenmonoid.words import word_closure
 
 
@@ -498,7 +499,7 @@ class TestCaps:
         monkeypatch.setattr(cli, "ITEM_CAP", 14)
         with monkeypatch.context() as patched:
             # refused before any member is built
-            patched.setattr(forgotten, "class_members", lambda key: pytest.fail("members built past the cap"))
+            patched.setattr(forgotten, "_member_blocks", lambda key: pytest.fail("members built past the cap"))
             code, out, err = run(capsys, "class-of", "12543")
         assert (code, out) == (3, "")
         assert err == "domain error: 15 members beyond the cap 14 (use --force)\n"
@@ -601,6 +602,39 @@ class TestCaps:
         assert len(found) == (CONFLUENCE_LIMIT if q >= 3 else 0)
         assert all(len(c["word"]) <= 5 for c in found)
         assert elapsed < 1.0
+
+
+class TestClassOfOutput:
+    """class-of writes members from the walk's blocks; the reference formats
+    the list of class_members with format_permutation and json.dumps."""
+
+    @staticmethod
+    def expected(key):
+        members = forgotten.class_members(key)
+        text = "\n".join([
+            f"key: {key}",
+            f"canonical: {format_permutation(members[0])}",
+            f"size: {len(members)}",
+            "members: " + " ".join(map(format_permutation, members)),
+        ])
+        payload = {"key": key.to_json_dict(), "canonical": members[0], "size": len(members), "members": members}
+        return members[-1], text + "\n", json.dumps(payload) + "\n"
+
+    def check(self, capsys, key):
+        last, text, as_json = self.expected(key)
+        perm = ",".join(map(str, last))
+        assert run(capsys, "class-of", perm) == (0, text, ""), key
+        assert run(capsys, "class-of", perm, "--json") == (0, as_json, ""), key
+
+    def test_every_class_up_to_n9(self, capsys):
+        for n in range(2, 10):
+            for key in forgotten.all_class_keys(n):
+                self.check(capsys, key)
+
+    def test_seeded_keys_under_the_item_cap_up_to_n50(self, capsys):
+        rng = random.Random(27)
+        for n in range(10, 51, 3):
+            self.check(capsys, rng.choice([key for key, size in forgotten.class_sizes(n).items() if size <= ITEM_CAP]))
 
 
 class TestJsonRoundTrips:

@@ -12,6 +12,7 @@ from forgottenmonoid.forgotten import (
     CanonicalForm,
     ClassKey,
     _key_pair,
+    _member_blocks,
     _q_multinomial,
     all_class_keys,
     canonical_of,
@@ -577,6 +578,18 @@ class TestClosedFormClasses:
         for n in range(2, 9):
             for key in all_class_keys(n):
                 assert class_members(key) == sorted(word_closure(canonical_of_key(key))), key
+
+    def test_member_blocks_flatten_to_the_members(self):
+        # the CLI formats a block's prefix once, so every block has members,
+        # its min(5, n) unused letters in increasing order after its prefix
+        for n in range(2, 10):
+            for key in all_class_keys(n):
+                flat = []
+                for prefix, unused, getters in _member_blocks(key):
+                    assert getters and len(unused) == min(5, n) and list(unused) == sorted(unused), key
+                    assert sorted(prefix + unused) == list(range(1, n + 1)), key
+                    flat += [prefix + get((0,) + unused) for get in getters]
+                assert flat == class_members(key), key
 
     def test_sizes_match_scan_of_s_n(self):
         for n in range(2, 9):

@@ -13,13 +13,13 @@ def test_commutation_suite_closes_each_word_class_twice(monkeypatch):
     # once for the shared partition, once for the first normal form of the
     # class; the reversal check reads the cached partition and closes nothing
     closures = []
-    close = words.word_closure
+    close = words._closure  # the search under word_closure and closure_partition
 
-    def counting(w):
-        closures.append(w)
-        return close(w)
+    def counting(start, rules):
+        closures.append(start)
+        return close(start, rules)
 
-    monkeypatch.setattr(words, "word_closure", counting)
+    monkeypatch.setattr(words, "_closure", counting)
     verify.closure_partition.cache_clear()
     words._normal_form_cache.clear()
     calls = {}
@@ -30,6 +30,19 @@ def test_commutation_suite_closes_each_word_class_twice(monkeypatch):
     assert sum(calls.values()) == 1350
     assert calls["check_normal_form_invariance"] == 1350
     assert calls["check_reversal_closure_words"] == 0
+
+
+def test_closure_partition_builds_one_rule_table_per_space(monkeypatch):
+    tables = []
+    build = words._rank_rules
+    monkeypatch.setattr(words, "_rank_rules", lambda k: tables.append(k) or build(k))
+    verify.closure_partition.cache_clear()
+    try:
+        assert sum(map(len, verify.closure_partition(6))) == 720
+        assert sum(map(len, verify.closure_partition(5, 2))) == 2 + 4 + 8 + 16 + 32
+    finally:
+        verify.closure_partition.cache_clear()
+    assert tables == [6, 2]
 
 
 def test_schuetzenberger_membership_fails_on_an_image_outside_the_class(monkeypatch):
