@@ -34,9 +34,9 @@ CANONICAL_CAP = 1_000_000
 SHAPE_CAP = 20
 # class-of lists at most this many members, and ribbons --vars at most this
 # many exponent vectors, C(n + M - 1, M - 1).  Cold, best of 3 on a 2-core
-# Intel Xeon: class-of takes 0.25 s at the cap at n = 10 and 0.45 s on the
-# largest class under it at n = 50 (57,526 members); ribbons --vars 0.38 s at
-# n = M = 10.
+# Intel Xeon: class-of takes 0.11-0.12 s at the cap at n = 10 and 0.33 s on
+# the largest class under it at n = 50 (57,526 members); ribbons --vars
+# 0.38 s at n = M = 10.
 ITEM_CAP = 100_000
 # commute searches min(q, i + j) letters; 4 5 at 5, the slowest, takes 0.04 s.
 COMMUTE_ALPHABET_CAP = 5
@@ -92,21 +92,31 @@ def _cmd_class_of(args: argparse.Namespace) -> int:
         size = forgotten.class_sizes(n)[key]  # closed form, before any member is built
         _require(size <= ITEM_CAP, f"{size} members beyond the cap {ITEM_CAP} (use --force)")
     # Each member as text, its letters joined by sep between left and right,
-    # in lexicographic order: the members of a walk block share all but
-    # their last min(5, n) letters, so each block's prefix is formatted once.
-    sep, left, right = (", ", "[", "]") if args.json else (",", "", "")
+    # in lexicographic order, members split by between.  The members of a
+    # walk block share all but their last min(5, n) letters, so each block's
+    # prefix is formatted once; its tails' text depends only on its letters
+    # left and tail entry, so each distinct tail list is formatted once.
+    sep, between, left, right = (", ", ", ", "[", "]") if args.json else (",", " ", "", "")
     letters = list(map(str, range(n + 1)))
     spaced = [text + sep for text in letters]
-    members: list[str] = []
-    for prefix, unused, getters in forgotten._member_blocks(key):
+    texts: dict[tuple, list[str]] = {}
+    blocks: list[str] = []
+    size = 0
+    for prefix, unused, entry, getters in forgotten._member_blocks(key):
+        tails = texts.get((unused, entry))
+        if tails is None:
+            tail = [letters[x] for x in (0, *unused)]
+            tails = texts[unused, entry] = [sep.join(get(tail)) + right for get in getters]
         head = left + "".join([spaced[x] for x in prefix])
-        tail = [letters[x] for x in (0, *unused)]
-        members += [head + sep.join(get(tail)) + right for get in getters]
+        if not blocks:
+            canonical = head + tails[0]
+        blocks.append(head + (between + head).join(tails))
+        size += len(tails)
     if args.json:  # as json.dumps writes the payload
-        print(f'{{"key": {json.dumps(key.to_json_dict())}, "canonical": {members[0]}, '
-              f'"size": {len(members)}, "members": [{", ".join(members)}]}}')
+        print(f'{{"key": {json.dumps(key.to_json_dict())}, "canonical": {canonical}, '
+              f'"size": {size}, "members": [{between.join(blocks)}]}}')
     else:
-        print(f"key: {key}\ncanonical: {members[0]}\nsize: {len(members)}\nmembers: {' '.join(members)}")
+        print(f"key: {key}\ncanonical: {canonical}\nsize: {size}\nmembers: {between.join(blocks)}")
     return EXIT_OK
 
 

@@ -25,12 +25,12 @@ from .perms import (
     DECIMAL,
     Perm,
     ParseError,
+    _rises_then_falls,
     _subsets_with_sum,
     check_permutation,
     complement,
     inverse,
     inversion_number,
-    is_lambda_shaped,
     sweep,
 )
 
@@ -257,14 +257,14 @@ def all_class_keys(n: int) -> list[ClassKey]:
     return sorted(keys, key=lambda k: (k.inv, not k.one_before_n))
 
 
-def _member_blocks(key: ClassKey) -> Iterator[tuple[Perm, Perm, Sequence[itemgetter]]]:
+def _member_blocks(key: ClassKey) -> Iterator[tuple[Perm, Perm, tuple[int, bool | None], Sequence[itemgetter]]]:
     """
     The members of the keyed class in lexicographic order, in blocks that
-    share a prefix: each (prefix, unused, getters) stands for the members
-    prefix + get((0,) + unused), get in getters.  They are built letter by
-    letter as an inversion table: the c-th smallest unused letter (from 0)
-    adds c inversions, m letters hold at most C(m, 2), and the first of 1
-    and n placed fixes the sign.  While 1 and n are both unused, m letters
+    share a prefix: each (prefix, unused, entry, getters) stands for the
+    members prefix + get((0,) + unused), get in getters.  They are built
+    letter by letter as an inversion table: the c-th smallest unused letter
+    (from 0) adds c inversions, m letters hold at most C(m, 2), and the
+    first of 1 and n placed fixes the sign.  While 1 and n are both unused, m letters
     with n before 1 hold exactly m-1 to C(m, 2) inversions and with 1
     before n exactly 0 to C(m, 2) - (m-1), so a child is pushed only if the
     letters it leaves can still meet both the count and the sign: every
@@ -276,8 +276,9 @@ def _member_blocks(key: ClassKey) -> Iterator[tuple[Perm, Perm, Sequence[itemget
     (ranks 0 and t-1) are both unused, so a table built per call from
     sweep(t) maps (inversions left, sign or None once fixed) to the
     arrangements of S_t in lexicographic order, each as an itemgetter over
-    the unused letters after a pad.  The table costs t! <= 120 itemgetters
-    per call and holds no state between calls.
+    the unused letters after a pad; entry is that key, so blocks with equal
+    unused letters and entries have the same tails.  The table costs
+    t! <= 120 itemgetters per call and holds no state between calls.
     """
     n, want = key.n, key.one_before_n
     t = min(5, n)
@@ -296,7 +297,8 @@ def _member_blocks(key: ClassKey) -> Iterator[tuple[Perm, Perm, Sequence[itemget
         if m == t or not rem:
             # with no inversions owed the letters left are increasing, so the
             # block is reached at once
-            yield prefix + unused[:m - t], unused[m - t:], tails.get((rem, None if signed else want), ())
+            entry = rem, None if signed else want
+            yield prefix + unused[:m - t], unused[m - t:], entry, tails.get(entry, ())
             continue
         for c in reversed(range(max(0, rem - (m - 1) * (m - 2) // 2), min(m - 1, rem) + 1)):
             x = unused[c]
@@ -321,7 +323,7 @@ def class_members(key: ClassKey) -> list[Perm]:
     [(1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)]
     """
     members: list[Perm] = []
-    for prefix, unused, getters in _member_blocks(key):
+    for prefix, unused, _, getters in _member_blocks(key):
         tail = (0,) + unused
         members += [prefix + get(tail) for get in getters]
     return members
@@ -499,10 +501,12 @@ def next_lambda_down(p: Sequence[int]) -> Perm | None:
     True
     """
     p = check_permutation(p)  # O(n) here: Timsort sees a lambda as two runs
-    if not is_lambda_shaped(p):
-        raise ValueError(f"{p!r} is not lambda-shaped")
+    if not p:
+        raise ValueError("the empty word has no shape")
     n = len(p)
-    peak = p.index(n)
+    peak = p.index(n)  # a permutation's maximum is n
+    if not _rises_then_falls(p, peak):
+        raise ValueError(f"{p!r} is not lambda-shaped")
     i = peak - 2
     while i > 0 and p[i - 1] == p[i] - 1:
         i -= 1

@@ -183,7 +183,11 @@ def is_lambda_shaped(p: Sequence[int]) -> bool:
     decreases.  The peak may sit at either end."""
     if not p:
         raise ValueError("the empty word has no shape")
-    peak = p.index(max(p))
+    return _rises_then_falls(p, p.index(max(p)))
+
+
+def _rises_then_falls(p: Sequence[int], peak: int) -> bool:
+    """True iff the word strictly increases up to position peak, then strictly decreases."""
     return all(map(lt, p[:peak], p[1:peak + 1])) and all(map(gt, p[peak:], p[peak + 1:]))
 
 

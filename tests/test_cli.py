@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 
 from collections import Counter
@@ -635,6 +638,24 @@ class TestClassOfOutput:
         rng = random.Random(27)
         for n in range(10, 51, 3):
             self.check(capsys, rng.choice([key for key, size in forgotten.class_sizes(n).items() if size <= ITEM_CAP]))
+
+    @pytest.mark.parametrize("key", ["10,24,1n", "50,51,n1"])
+    def test_the_largest_classes_under_the_item_cap(self, capsys, key):
+        # the largest at n = 10 (97,862 members) and at n = 50 (57,526)
+        self.check(capsys, forgotten.parse_class_key(key))
+
+    def test_tail_texts_last_one_call(self, capsys):
+        # class-of formats each distinct tail list once per call; runs of two
+        # classes of S_9 in one process, switching forms, print what fresh
+        # processes print
+        keys = map(forgotten.parse_class_key, ("9,18,1n", "9,17,n1"))
+        a, b = (format_permutation(forgotten.canonical_of_key(key)) for key in keys)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(forgotten.__file__))}
+        runs = [(a,), (b, "--json"), (a, "--json"), (b,), (a,)]
+        for argv in runs:
+            fresh = subprocess.run([sys.executable, "-m", "forgottenmonoid.cli", "class-of", *argv],
+                                   capture_output=True, text=True, env=env, check=True).stdout
+            assert run(capsys, "class-of", *argv) == (0, fresh, ""), argv
 
 
 class TestJsonRoundTrips:

@@ -581,13 +581,23 @@ class TestClosedFormClasses:
 
     def test_member_blocks_flatten_to_the_members(self):
         # the CLI formats a block's prefix once, so every block has members,
-        # its min(5, n) unused letters in increasing order after its prefix
+        # its t = min(5, n) unused letters in increasing order after its
+        # prefix; it formats a tail list once per (unused letters, entry), so
+        # blocks with one entry, in any class of S_n, share their arrangements
+        # of S_t: those with entry[0] inversions and, unless entry[1] is
+        # None, 1 before t as entry[1] says
         for n in range(2, 10):
+            t = min(5, n)
+            arrangements = {}
             for key in all_class_keys(n):
                 flat = []
-                for prefix, unused, getters in _member_blocks(key):
-                    assert getters and len(unused) == min(5, n) and list(unused) == sorted(unused), key
+                for prefix, unused, entry, getters in _member_blocks(key):
+                    assert getters and len(unused) == t and list(unused) == sorted(unused), key
                     assert sorted(prefix + unused) == list(range(1, n + 1)), key
+                    ranks = [get(tuple(range(t + 1))) for get in getters]
+                    assert arrangements.setdefault(entry, ranks) == ranks, (key, entry)
+                    for r in ranks:
+                        assert inversion_number(r) == entry[0] and entry[1] in (None, r.index(1) < r.index(t)), key
                     flat += [prefix + get((0,) + unused) for get in getters]
                 assert flat == class_members(key), key
 
